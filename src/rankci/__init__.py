@@ -14,7 +14,6 @@ from .corpus import (
     parse_dists,
     parse_qrels,
     parse_run,
-    split_dataset,
     write_dists,
     write_qrels,
     write_run,
@@ -62,7 +61,6 @@ from .model import (
     LabelScale,
     RankedList,
     RelevanceDistribution,
-    Split,
     validate_dataset,
 )
 from .ppi import PpiEstimate, ppi_ci, ppi_estimate
@@ -95,7 +93,6 @@ __all__ = [
     "RankciError",
     "RankedList",
     "RelevanceDistribution",
-    "Split",
     "SynthConfig",
     "TooFewBatchesError",
     "UnlabeledQueryError",
@@ -130,7 +127,6 @@ __all__ = [
     "query_utility_true",
     "rank_weight",
     "required_batches",
-    "split_dataset",
     "true_utilities",
     "utility_crc",
     "validate_dataset",

@@ -1,6 +1,6 @@
-"""Command-line front end.
+"""Command-line front ends: ``rankci`` and ``rankci-harness``.
 
-Three commands:
+``rankci`` has three commands:
 
 * ``evaluate`` — per-query and dataset utilities (true where judged,
   predicted everywhere) from run/qrels/dists files.
@@ -9,28 +9,42 @@ Three commands:
 * ``sweep`` — synthetic coverage/width sweeps over labeled-budget, bias and
   oracle grids, emitting one CSV row per method/grid point/repeat.
 
+``rankci-harness PLAN`` runs a ``key = value`` plan file through the
+experiment harness and writes its four artifacts.
+
 Every command is deterministic for a given ``--seed``.  Flags beat config
 file entries (``--config`` names a ``key = value`` file whose keys are the
 long flag names with underscores), which beat built-in defaults.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 calibration
-infeasible.
+Exit codes, the same for both entry points: 0 success, 1 usage error (bad
+flags, config or plan), 2 I/O or format error, 3 calibration infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bootstrap import bootstrap_ci
 from .corpus import build_dataset, infer_scale_from_dists, parse_qrels, parse_run
 from .crc import CrcCalibration, build_batches, calibrate, crc_ci
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
-from .harness import ROW_FIELDS, sweep
+from .harness import (
+    PLAN_KEYS,
+    ROW_FIELDS,
+    build_plan,
+    float_list,
+    int_list,
+    load_plan,
+    parse_kv,
+    run_plan,
+    str_list,
+    sweep,
+    write_csv,
+)
 from .metrics import (
     dataset_utility,
     format_metric,
@@ -40,7 +54,7 @@ from .metrics import (
 )
 from .model import CiReport, Dataset, LabelScale, validate_dataset
 from .ppi import ppi_ci, ppi_estimate
-from .synth import SynthConfig, generate
+from .synth import generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,19 +80,8 @@ def _bool(s: str) -> bool:
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {i}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+    # Any key is accepted: one config file may serve every command.
+    return parse_kv(_read(path), what="config") if path is not None else {}
 
 
 def _resolve(args, cfg: dict[str, str], key: str, conv, default):
@@ -141,12 +144,7 @@ def _write_out(path: str, payload_rows: list[dict] | None = None, payload_obj=No
     if p.suffix == ".csv":
         if payload_rows is None:
             raise ValueError("--out .csv needs tabular output; use .json here")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(payload_rows[0].keys()) if payload_rows else [],
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(payload_rows)
-        p.write_text(buf.getvalue(), encoding="utf-8")
+        write_csv(p, list(payload_rows[0]) if payload_rows else [], payload_rows)
     elif p.suffix == ".json":
         obj = payload_obj if payload_obj is not None else payload_rows
         p.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -309,63 +307,53 @@ def cmd_ci(args) -> int:
 # sweep
 
 
+# ``rankci sweep`` flags whose plan key has another name.  Every other sweep
+# flag is named after its plan key.
+_SWEEP_KEYS = {"n_labeled": "n_grid", "beta": "beta_grid", "tau": "tau_grid"}
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    metric = parse_metric(_resolve(args, cfg, "metric", str, "dcg@10"))
-    alpha = _resolve(args, cfg, "alpha", float, 0.05)
-    seed = _resolve(args, cfg, "seed", int, 7)
-    split_seed = _resolve(args, cfg, "split_seed", int, 11)
-    num_batches = _resolve(args, cfg, "batches", int, 2000)
-    repeats = _resolve(args, cfg, "repeats", int, 50)
-    workers = _resolve(args, cfg, "workers", int, 1)
-    n_grid = _resolve(args, cfg, "n_labeled", _ints, (20,))
-    beta_grid = _resolve(args, cfg, "beta", _floats, (0.0,))
-    tau_grid = _resolve(args, cfg, "tau", _floats, (0.0,))
-    methods = _resolve(args, cfg, "methods", _strs, ("bootstrap", "ppi", "crc"))
+    # Flag > config entry > the sweep's own defaults > default_plan().
+    values = {"repeats": 50, "n_grid": (20,)}
+    for flag in vars(args):
+        key = _SWEEP_KEYS.get(flag, flag)
+        if key in PLAN_KEYS:
+            value = _resolve(args, cfg, flag, PLAN_KEYS[key], None)
+            if value is not None:
+                values[key] = value
+    plan = build_plan(values)
     out_path = _resolve(args, cfg, "out", str, None)
 
-    synth = SynthConfig(
-        num_queries=_resolve(args, cfg, "queries", int, 200),
-        docs_per_query=_resolve(args, cfg, "docs_per_query", int, 100),
-        scale=LabelScale(_resolve(args, cfg, "max_label", int, 3)),
-        truth_prior=_resolve(args, cfg, "truth_prior", _floats, (0.85, 0.08, 0.04, 0.03)),
-        annotator_sharpness=_resolve(args, cfg, "sharpness", float, 7.0),
-        seed=_resolve(args, cfg, "synth_seed", int, 11),
-    )
-    dataset = generate(synth)
+    dataset = generate(plan.synth)
     rows = sweep(
-        dataset, metric,
-        n_grid=tuple(n_grid), beta_grid=tuple(beta_grid), tau_grid=tuple(tau_grid),
-        methods=tuple(methods), repeats=repeats, alpha=alpha,
-        num_batches=num_batches, seed=seed, split_seed=split_seed, workers=workers,
+        dataset, plan.metric,
+        n_grid=plan.n_grid, beta_grid=plan.beta_grid, tau_grid=plan.tau_grid,
+        methods=plan.methods, repeats=plan.repeats, alpha=plan.alpha,
+        num_batches=plan.num_batches, seed=plan.seed, split_seed=plan.split_seed,
+        workers=plan.workers,
     )
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    write_csv(out_path if out_path is not None else sys.stdout, ROW_FIELDS, rows)
     if out_path is not None:
-        Path(out_path).write_text(buf.getvalue(), encoding="utf-8")
         print(f"wrote {len(rows)} rows to {out_path}")
-    else:
-        sys.stdout.write(buf.getvalue())
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# rankci-harness
+
+
+def cmd_plan(args) -> int:
+    plan = load_plan(_read(args.plan))
+    overrides = {"output_dir": args.output_dir, "workers": args.workers}
+    out_dir = run_plan(replace(plan, **{k: v for k, v in overrides.items() if v is not None}))
+    for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"):
+        print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # wiring
-
-
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip())
-
-
-def _strs(s: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in s.split(",") if x.strip())
 
 
 def _usage(args, message: str) -> int:
@@ -411,11 +399,11 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="synthetic coverage/width sweep (CSV rows)")
     _add_common(p_sweep)
-    p_sweep.add_argument("--n-labeled", type=_ints, help="labeled-budget grid, e.g. 10,20,40,80")
-    p_sweep.add_argument("--beta", type=_floats, help="annotator-bias grid, e.g. 0,0.5,1")
-    p_sweep.add_argument("--tau", type=_floats, help="oracle-mixing grid, e.g. 0,0.5,1")
+    p_sweep.add_argument("--n-labeled", type=int_list, help="labeled-budget grid, e.g. 10,20,40,80")
+    p_sweep.add_argument("--beta", type=float_list, help="annotator-bias grid, e.g. 0,0.5,1")
+    p_sweep.add_argument("--tau", type=float_list, help="oracle-mixing grid, e.g. 0,0.5,1")
     p_sweep.add_argument("--repeats", type=int, help="repeats per grid point (default 50)")
-    p_sweep.add_argument("--methods", type=_strs, help="comma list of bootstrap,ppi,crc")
+    p_sweep.add_argument("--methods", type=str_list, help="comma list of bootstrap,ppi,crc")
     p_sweep.add_argument("--alpha", type=float, help="miscoverage level (default 0.05)")
     p_sweep.add_argument("--seed", type=int, help="sweep seed (default 7)")
     p_sweep.add_argument("--split-seed", type=int,
@@ -425,7 +413,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--queries", type=int, help="synthetic query count (default 200)")
     p_sweep.add_argument("--docs-per-query", type=int, help="documents per query (default 100)")
     p_sweep.add_argument("--max-label", type=int, help="label scale (default 3)")
-    p_sweep.add_argument("--truth-prior", type=_floats, help="label prior, e.g. 0.5,0.25,0.15,0.1")
+    p_sweep.add_argument("--truth-prior", type=float_list, help="label prior, e.g. 0.5,0.25,0.15,0.1")
     p_sweep.add_argument("--sharpness", type=float, help="annotator sharpness (default 7.0)")
     p_sweep.add_argument("--synth-seed", type=int, help="dataset generation seed (default 11)")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -433,28 +421,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _dispatch(parser: _Parser, argv: list[str] | None) -> int:
+    """Parse ``argv``, run the chosen command, and map errors to exit codes."""
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ParseError as e:
-        print(f"rankci: format error: {e}", file=sys.stderr)
+        print(f"{parser.prog}: format error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:
-        print(f"rankci: i/o error: {e}", file=sys.stderr)
+        print(f"{parser.prog}: i/o error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationInfeasibleError as e:
-        print(f"rankci: calibration infeasible: {e}", file=sys.stderr)
+        print(f"{parser.prog}: calibration infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except RankciError as e:
-        print(f"rankci: error: {e}", file=sys.stderr)
+        print(f"{parser.prog}: error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:
-        print(f"rankci: error: {e}", file=sys.stderr)
+        print(f"{parser.prog}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    return _dispatch(build_parser(), argv)
+
+
+def harness_main(argv: list[str] | None = None) -> int:
+    parser = _Parser(prog="rankci-harness", description="Run a coverage/width experiment plan.")
+    parser.add_argument("plan", help="path to a key = value plan file")
+    parser.add_argument("--output-dir", help="override the plan's output directory")
+    parser.add_argument("--workers", type=int, help="override the plan's worker count")
+    parser.set_defaults(func=cmd_plan)
+    return _dispatch(parser, argv)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Reading and writing retrieval corpora, plus dataset splitting.
+"""Reading and writing retrieval corpora.
 
 Three line-oriented text formats:
 
@@ -19,12 +19,10 @@ most 17 significant digits), so parse -> write -> parse is the identity.
 from __future__ import annotations
 
 import json
-import warnings
 from collections.abc import Mapping
 
 from .errors import ParseError
-from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution, Split
-from .seeding import stream
+from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 
 
 def _lines(text: str):
@@ -200,49 +198,3 @@ def build_dataset(
     truth = parse_qrels(qrels_text, scale) if qrels_text is not None else {}
     return Dataset(scale=scale, rankings=rankings, truth=truth, predicted=predicted)
 
-
-def split_dataset(
-    dataset: Dataset,
-    ratio: float,
-    strata: Mapping[str, str] | None = None,
-    seed: int = 0,
-) -> Split:
-    """Split queries into validation and test sides.
-
-    Only labeled queries are eligible for validation (``ratio`` is the
-    validation fraction of each stratum's labeled queries, rounded);
-    unlabeled queries always land on the test side.  With ``strata`` given,
-    the split is performed within each stratum.  A stratum with fewer than 2
-    labeled queries triggers a warning and is placed wholly on one side by
-    the seed draw.  Deterministic for a given seed.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio!r}")
-    labeled = dataset.labeled_queries()
-    unlabeled = [q for q in dataset.queries() if q not in set(labeled)]
-
-    groups: dict[str, list[str]] = {}
-    for q in labeled:
-        stratum = strata.get(q, "") if strata is not None else ""
-        groups.setdefault(stratum, []).append(q)
-
-    rng = stream(seed)
-    validation: set[str] = set()
-    test: set[str] = set(unlabeled)
-    for stratum in sorted(groups):
-        members = sorted(groups[stratum])
-        if len(members) < 2:
-            warnings.warn(
-                f"stratum {stratum!r} has fewer than 2 labeled queries; "
-                "placing it wholly on one side by the seed draw",
-                stacklevel=2,
-            )
-            side = validation if rng.random() < ratio else test
-            side.update(members)
-            continue
-        perm = rng.permutation(len(members))
-        n_val = int(round(ratio * len(members)))
-        for pos, idx in enumerate(perm):
-            (validation if pos < n_val else test).add(members[idx])
-
-    return Split(validation=frozenset(validation), test=frozenset(test))

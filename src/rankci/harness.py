@@ -29,21 +29,20 @@ sorted by true utility descending), and ``summary.json``.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import io
 import json
-import sys
+from collections.abc import Collection, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .bootstrap import bootstrap_ci
 from .corpus import build_dataset
 from .crc import build_batches, calibrate, crc_ci
-from .errors import CalibrationInfeasibleError, RankciError
+from .errors import CalibrationInfeasibleError
 from .metrics import (
     MetricSpec,
     dataset_utility,
@@ -294,14 +293,6 @@ def per_query_rows(
     return out
 
 
-def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
-
-
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan and write rows, aggregates, per-query intervals and a
     summary into its output directory.  Returns that directory."""
@@ -316,14 +307,14 @@ def run_plan(plan: ExperimentPlan) -> Path:
         num_batches=plan.num_batches, seed=plan.seed, split_seed=plan.split_seed,
         workers=plan.workers,
     )
-    _write_csv(out_dir / "rows.csv", ROW_FIELDS, rows)
+    write_csv(out_dir / "rows.csv", ROW_FIELDS, rows)
 
     aggs = aggregate(rows)
-    _write_csv(out_dir / "aggregate.csv", AGG_FIELDS, aggs)
+    write_csv(out_dir / "aggregate.csv", AGG_FIELDS, aggs)
 
     pq = per_query_rows(dataset, plan.metric, tau_grid=plan.tau_grid, alpha=plan.alpha,
                         split_seed=plan.split_seed)
-    _write_csv(out_dir / "per_query.csv", PER_QUERY_FIELDS, pq)
+    write_csv(out_dir / "per_query.csv", PER_QUERY_FIELDS, pq)
 
     summary = {
         "name": plan.name,
@@ -347,114 +338,90 @@ def run_plan(plan: ExperimentPlan) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# plan files
+# CSV output, and ``key = value`` files: plans here, ``rankci --config`` files
+# in the CLI
 
 
-_PLAN_KEYS = {
-    "name", "metric", "alpha", "repeats", "batches", "n_grid", "beta_grid",
-    "tau_grid", "methods", "seed", "split_seed", "workers", "output_dir",
-    "queries", "docs_per_query", "max_label", "truth_prior", "sharpness", "synth_seed",
-    "run", "qrels", "dists",
-}
+def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under a header of ``fields`` as LF-terminated CSV to a
+    path or an open text stream."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, fields, rows)
+        return
+    writer = csv.DictWriter(dest, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def parse_kv(text: str, keys: Collection[str] | None = None, *, what: str = "plan") -> dict[str, str]:
+    """Read ``key = value`` lines into a dict, skipping blank lines and ``#``
+    comments; ``-`` in a key reads as ``_``.  With ``keys`` given, any other
+    key is an error.  Errors are ``ValueError``s naming the 1-based line."""
     out: dict[str, str] = {}
     for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"plan line {i}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{what} line {i}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _PLAN_KEYS:
-            raise ValueError(f"plan line {i}: unknown key {key!r}")
-        out[key] = value
+        key = key.strip().replace("-", "_")
+        if keys is not None and key not in keys:
+            raise ValueError(f"{what} line {i}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
-def _floats(s: str) -> tuple[float, ...]:
+def int_list(s: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in s.split(",") if x.strip())
+
+
+def float_list(s: str) -> tuple[float, ...]:
     return tuple(float(x) for x in s.split(",") if x.strip())
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip())
+def str_list(s: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in s.split(",") if x.strip())
+
+
+# Every plan key with the parser of its value (see README for the list).
+PLAN_KEYS = {
+    "name": str, "metric": str, "alpha": float, "repeats": int, "batches": int,
+    "n_grid": int_list, "beta_grid": float_list, "tau_grid": float_list, "methods": str_list,
+    "seed": int, "split_seed": int, "workers": int, "output_dir": str,
+    "queries": int, "docs_per_query": int, "max_label": int, "truth_prior": float_list,
+    "sharpness": float, "synth_seed": int,
+    "run": str, "qrels": str, "dists": str,
+}
+# Plan keys whose ExperimentPlan field has another name.
+_PLAN_FIELDS = {"batches": "num_batches", "run": "run_path", "qrels": "qrels_path",
+                "dists": "dists_path"}
+# Plan keys that configure the synthetic dataset, with their SynthConfig field.
+_SYNTH_FIELDS = {"queries": "num_queries", "docs_per_query": "docs_per_query",
+                 "max_label": "scale", "truth_prior": "truth_prior",
+                 "sharpness": "annotator_sharpness", "synth_seed": "seed"}
+
+
+def build_plan(values: Mapping[str, object]) -> ExperimentPlan:
+    """The plan for parsed plan-key ``values``; every key left out keeps
+    :func:`default_plan`'s value.  Any of ``run``/``qrels``/``dists`` makes
+    the plan file-sourced, and the synthetic-dataset keys are then ignored."""
+    base = default_plan()
+    fields = {_PLAN_FIELDS.get(k, k): v for k, v in values.items() if k not in _SYNTH_FIELDS}
+    if "metric" in fields:
+        fields["metric"] = parse_metric(fields["metric"])
+    if {"run_path", "qrels_path", "dists_path"} & fields.keys():
+        fields["synth"] = None
+    else:
+        synth = {_SYNTH_FIELDS[k]: v for k, v in values.items() if k in _SYNTH_FIELDS}
+        if "scale" in synth:
+            synth["scale"] = LabelScale(synth["scale"])
+        fields["synth"] = replace(base.synth, **synth)
+    return replace(base, **fields)
 
 
 def load_plan(text: str) -> ExperimentPlan:
     """Parse a ``key = value`` plan file (see README for the key list)."""
-    kv = _parse_kv(text)
-    file_source = "run" in kv or "qrels" in kv or "dists" in kv
-    synth = None
-    if not file_source:
-        max_label = int(kv.get("max_label", "3"))
-        prior = _floats(kv["truth_prior"]) if "truth_prior" in kv else (0.85, 0.08, 0.04, 0.03)
-        synth = SynthConfig(
-            num_queries=int(kv.get("queries", "200")),
-            docs_per_query=int(kv.get("docs_per_query", "100")),
-            scale=LabelScale(max_label),
-            truth_prior=prior,
-            annotator_sharpness=float(kv.get("sharpness", "7.0")),
-            seed=int(kv.get("synth_seed", "11")),
-        )
-    fields = dict(
-        name=kv.get("name", "experiment"),
-        metric=parse_metric(kv.get("metric", "dcg@10")),
-        synth=synth,
-        run_path=kv.get("run"),
-        qrels_path=kv.get("qrels"),
-        dists_path=kv.get("dists"),
-        alpha=float(kv.get("alpha", "0.05")),
-        repeats=int(kv.get("repeats", "500")),
-        num_batches=int(kv.get("batches", "2000")),
-        seed=int(kv.get("seed", "7")),
-        split_seed=int(kv.get("split_seed", "11")),
-        workers=int(kv.get("workers", "1")),
-        output_dir=kv.get("output_dir", "harness-out"),
-    )
-    if "n_grid" in kv:
-        fields["n_grid"] = _ints(kv["n_grid"])
-    if "beta_grid" in kv:
-        fields["beta_grid"] = _floats(kv["beta_grid"])
-    if "tau_grid" in kv:
-        fields["tau_grid"] = _floats(kv["tau_grid"])
-    if "methods" in kv:
-        fields["methods"] = tuple(m.strip() for m in kv["methods"].split(",") if m.strip())
-    return ExperimentPlan(**fields)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rankci-harness",
-        description="Run a coverage/width experiment plan.",
-    )
-    parser.add_argument("plan", help="path to a key = value plan file")
-    parser.add_argument("--output-dir", help="override the plan's output directory")
-    parser.add_argument("--workers", type=int, help="override the plan's worker count")
-    args = parser.parse_args(argv)
-    try:
-        plan = load_plan(Path(args.plan).read_text(encoding="utf-8"))
-        overrides = {}
-        if args.output_dir is not None:
-            overrides["output_dir"] = args.output_dir
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if overrides:
-            plan = replace(plan, **overrides)
-        out_dir = run_plan(plan)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (RankciError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"wrote {out_dir / 'rows.csv'}")
-    print(f"wrote {out_dir / 'aggregate.csv'}")
-    print(f"wrote {out_dir / 'per_query.csv'}")
-    print(f"wrote {out_dir / 'summary.json'}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    kv = parse_kv(text, PLAN_KEYS)
+    return build_plan({"name": "experiment", **{k: PLAN_KEYS[k](v) for k, v in kv.items()}})

@@ -148,21 +148,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Split:
-    """A two-way partition of query ids into validation and test sides."""
-
-    validation: frozenset[str]
-    test: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "validation", frozenset(self.validation))
-        object.__setattr__(self, "test", frozenset(self.test))
-        overlap = self.validation & self.test
-        if overlap:
-            raise ValueError(f"validation and test overlap: {sorted(overlap)[:5]}")
-
-
-@dataclass(frozen=True)
 class CiReport:
     """A confidence interval produced by any of the estimators.
 

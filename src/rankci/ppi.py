@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import InsufficientDataError
 from .model import CiReport
@@ -84,7 +84,7 @@ def ppi_ci(est: PpiEstimate, alpha: float = 0.05) -> CiReport:
     construction."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * float(np.sqrt(est.var_error / est.n + est.var_pred / est.n_total))
     return CiReport(
         method="ppi",

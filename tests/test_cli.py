@@ -1,10 +1,11 @@
-"""Command-line front end: happy paths, exit codes, config files, determinism.
+"""Command-line front ends: happy paths, exit codes, config files, determinism.
 
-Exit-code contract: 0 success, 1 usage error, 2 I/O or format error,
-3 calibration infeasible.
+Exit-code contract, for ``rankci`` and ``rankci-harness`` alike: 0 success,
+1 usage error, 2 I/O or format error, 3 calibration infeasible.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import rankci
-from rankci.cli import main
+from rankci.cli import harness_main, main
 from rankci.corpus import write_dists, write_qrels, write_run
+from rankci.harness import ROW_FIELDS, load_plan, sweep, write_csv
 from rankci.model import LabelScale
 from rankci.synth import SynthConfig, generate
 
@@ -280,6 +282,69 @@ def test_sweep_respects_method_subset(capsys):
     assert code == 0
     body = out.strip().split("\n")[1:]
     assert all(line.startswith("ppi,") for line in body)
+
+
+def test_sweep_builds_the_same_plan_as_a_plan_file(capsys):
+    """``rankci sweep`` and plan files share one plan builder: SWEEP_ARGS give
+    the rows of the plan with the corresponding keys."""
+    code, out, _ = _run_main(SWEEP_ARGS, capsys)
+    assert code == 0
+    plan = load_plan(
+        "queries = 24\ndocs_per_query = 6\nmax_label = 2\ntruth_prior = 0.5,0.3,0.2\n"
+        "sharpness = 4.0\nsynth_seed = 3\nn_grid = 4\nrepeats = 2\nbatches = 120\nseed = 5\n")
+    rows = sweep(generate(plan.synth), plan.metric, n_grid=plan.n_grid,
+                 beta_grid=plan.beta_grid, tau_grid=plan.tau_grid, methods=plan.methods,
+                 repeats=plan.repeats, alpha=plan.alpha, num_batches=plan.num_batches,
+                 seed=plan.seed, split_seed=plan.split_seed, workers=plan.workers)
+    expected = io.StringIO()
+    write_csv(expected, ROW_FIELDS, rows)
+    assert out == expected.getvalue()
+
+
+# --- rankci-harness exit codes ---------------------------------------------------------
+
+
+def _run_harness(tmp_path, plan_text, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(plan_text, encoding="utf-8")
+    code = harness_main([str(plan), "--output-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("plan_text, message", [
+    ("name = x\nnot a pair\n", "line 2"),
+    ("bogus = 1\n", "unknown key"),
+])
+def test_harness_malformed_plan_is_a_usage_error(tmp_path, capsys, plan_text, message):
+    code, _, err = _run_harness(tmp_path, plan_text, capsys)
+    assert code == 1
+    assert message in err
+
+
+def test_harness_without_a_plan_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        harness_main([])
+    assert exc.value.code == 1
+
+
+def test_harness_missing_plan_file_is_an_io_error(tmp_path, capsys):
+    code = harness_main([str(tmp_path / "no-such-plan.txt")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "i/o error" in err
+
+
+def test_harness_infeasible_calibration_exits_3(tmp_path, capsys):
+    # Singleton-batch calibration on a 5-query validation half has too few
+    # batches for alpha = 0.05.
+    code, _, err = _run_harness(
+        tmp_path,
+        "queries = 10\ndocs_per_query = 12\nn_grid = 2\nbatches = 100\nmethods = crc\n"
+        "repeats = 2\n",
+        capsys)
+    assert code == 3
+    assert "calibration infeasible" in err
 
 
 # --- byte determinism through the real entry point -------------------------------------

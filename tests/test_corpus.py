@@ -1,4 +1,4 @@
-"""Corpus file formats: parsing, canonical writing, and query splitting."""
+"""Corpus file formats: parsing and canonical writing."""
 
 import json
 
@@ -10,13 +10,12 @@ from rankci.corpus import (
     parse_dists,
     parse_qrels,
     parse_run,
-    split_dataset,
     write_dists,
     write_qrels,
     write_run,
 )
 from rankci.errors import ParseError
-from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from rankci.model import Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
 
 RUN_TEXT = """\
@@ -161,59 +160,3 @@ def test_build_dataset_infers_scale():
     ds2 = build_dataset(run, dists, None)
     assert ds2.truth == {}
 
-
-# --- splitting -----------------------------------------------------------------
-
-
-def _labeled_dataset(num_queries=20):
-    return generate(SynthConfig(num_queries=num_queries, docs_per_query=3,
-                                scale=LabelScale(1), truth_prior=(0.6, 0.4),
-                                annotator_sharpness=3.0, seed=2))
-
-
-def test_split_dataset_is_deterministic_and_balanced():
-    ds = _labeled_dataset(20)
-    a = split_dataset(ds, 0.5, seed=3)
-    b = split_dataset(ds, 0.5, seed=3)
-    assert a == b
-    assert len(a.validation) == 10
-    assert len(a.test) == 10
-    assert a.validation | a.test == set(ds.queries())
-    assert split_dataset(ds, 0.5, seed=4) != a
-
-
-def test_split_dataset_sends_unlabeled_queries_to_the_test_side():
-    ds = _labeled_dataset(10)
-    truth = {k: v for k, v in ds.truth.items() if k[0] != "q003"}
-    partial = Dataset(scale=ds.scale, rankings=ds.rankings, truth=truth, predicted=ds.predicted)
-    split = split_dataset(partial, 0.5, seed=0)
-    assert "q003" in split.test
-
-
-def test_split_dataset_respects_strata():
-    ds = _labeled_dataset(20)
-    strata = {q: ("even" if int(q[1:]) % 2 == 0 else "odd") for q in ds.queries()}
-    split = split_dataset(ds, 0.5, strata=strata, seed=1)
-    evens = [q for q in split.validation if strata[q] == "even"]
-    odds = [q for q in split.validation if strata[q] == "odd"]
-    assert len(evens) == 5
-    assert len(odds) == 5
-
-
-def test_split_dataset_warns_on_tiny_stratum():
-    ds = _labeled_dataset(5)
-    strata = {q: q for q in ds.queries()}  # every stratum is a singleton
-    with pytest.warns(UserWarning, match="fewer than 2"):
-        split_dataset(ds, 0.5, strata=strata, seed=0)
-
-
-def test_split_dataset_validates_ratio():
-    ds = _labeled_dataset(4)
-    with pytest.raises(ValueError):
-        split_dataset(ds, 1.5)
-
-
-def test_split_dataset_ratio_extremes():
-    ds = _labeled_dataset(8)
-    assert split_dataset(ds, 0.0, seed=0).validation == frozenset()
-    assert split_dataset(ds, 1.0, seed=0).test == frozenset()

@@ -9,7 +9,6 @@ from rankci.model import (
     LabelScale,
     RankedList,
     RelevanceDistribution,
-    Split,
     validate_dataset,
 )
 
@@ -133,12 +132,6 @@ def test_validate_dataset_reports_each_problem():
 
 def test_empty_dataset_is_valid():
     assert validate_dataset(Dataset(scale=LabelScale(1))) == []
-
-
-def test_split_rejects_overlap():
-    Split(validation={"a"}, test={"b"})
-    with pytest.raises(ValueError, match="overlap"):
-        Split(validation={"a", "b"}, test={"b", "c"})
 
 
 def test_ci_report_width_and_ordering():
