@@ -20,6 +20,7 @@ from .corpus import (
 )
 from .crc import (
     CalibrationBatch,
+    CalibrationBatches,
     CrcCalibration,
     build_batches,
     calibrate,
@@ -33,6 +34,7 @@ from .crc import (
 )
 from .errors import (
     CalibrationInfeasibleError,
+    CalibrationMismatchError,
     EmptyQuerySetError,
     InsufficientDataError,
     MissingDistributionError,
@@ -77,7 +79,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationBatch",
+    "CalibrationBatches",
     "CalibrationInfeasibleError",
+    "CalibrationMismatchError",
     "CiReport",
     "CrcCalibration",
     "Dataset",

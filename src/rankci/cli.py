@@ -262,7 +262,11 @@ def cmd_ci(args) -> int:
     # crc: calibrate on the labeled queries (or load a saved calibration),
     # then report the interval over all queries.
     if args.load_calibration is not None:
-        cal = CrcCalibration.from_text(_read(args.load_calibration))
+        try:
+            cal = CrcCalibration.from_text(_read(args.load_calibration))
+        except ValueError as e:
+            raise ParseError(f"{args.load_calibration}: {e}") from None
+        cal.check_applies(metric, dataset.scale)
     else:
         if per_query:
             batches = build_batches(labeled, mode="per_query")

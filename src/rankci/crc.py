@@ -40,14 +40,22 @@ import numpy as np
 
 from .errors import (
     CalibrationInfeasibleError,
+    CalibrationMismatchError,
     EmptyQuerySetError,
     InsufficientDataError,
     MissingDistributionError,
     TooFewBatchesError,
     UnlabeledQueryError,
 )
-from .metrics import MetricSpec, gain, gain_vector, query_utility_true, rank_weight
-from .model import CiReport, Dataset, RelevanceDistribution
+from .metrics import (
+    MetricSpec,
+    format_metric,
+    gain,
+    gain_vector,
+    query_utility_true,
+    rank_weights,
+)
+from .model import CiReport, Dataset, LabelScale, RelevanceDistribution
 from .seeding import stream
 
 # A calibration batch is a non-empty multiset of labeled query ids.
@@ -86,11 +94,26 @@ def perturb_distribution(dist: RelevanceDistribution, lam: float) -> RelevanceDi
     at lam = -0.4 they become (1/3, 1/2, 1/6).  A one-hot distribution is
     unchanged by any strength, since removed mass is restored by
     renormalisation.
+
+    The same arithmetic as :func:`_perturb_rows` on one row, in plain floats:
+    a numpy call on a single short row costs more than the formula.
     """
     lam = _check_lambda(lam)
-    row = np.asarray(dist.probs, dtype=float)[None, :]
-    out = _perturb_rows(row, lam)[0]
-    return RelevanceDistribution(tuple(float(x) for x in out))
+    probs = list(dist.probs)
+    if lam == 0.0:
+        return RelevanceDistribution(tuple(probs))
+    if lam < 0.0:
+        probs.reverse()
+    strength = abs(lam)
+    q, cum, total = [], 0.0, 0.0
+    for p in probs:
+        cum += p
+        x = max(0.0, p - max(0.0, strength - (cum - p)))
+        q.append(x)
+        total += x
+    if lam < 0.0:
+        q.reverse()
+    return RelevanceDistribution(tuple(x / total for x in q))
 
 
 def mu_crc(spec: MetricSpec, dist: RelevanceDistribution, lam: float) -> float:
@@ -112,23 +135,20 @@ class _UtilityEngine:
     """Stacked per-document arrays for fast perturbed-utility evaluation.
 
     Holds, for a fixed query list, every ranked document inside the metric
-    cutoff as one row: its predicted label probabilities, its rank weight,
-    and the index of its query.  ``per_query_utility(lam)`` then perturbs all
+    cutoff (the first ``cutoff_k``) as one row: its predicted label
+    probabilities, its rank weight, and the index of its query.  ``per_query_utility(lam)`` then perturbs all
     rows at once and segment-sums weight * expected gain per query.
     """
 
     def __init__(self, spec: MetricSpec, dataset: Dataset, query_ids: Sequence[str]):
         self.query_ids = list(query_ids)
         self.gains = gain_vector(spec, dataset.scale)
+        weights_k = rank_weights(spec)
         probs: list[tuple[float, ...]] = []
         weights: list[float] = []
         segments: list[int] = []
         for qi, qid in enumerate(self.query_ids):
-            ranking = dataset.rankings[qid]
-            for rank, doc in enumerate(ranking.doc_ids, start=1):
-                w = rank_weight(spec, rank)
-                if w == 0.0:
-                    continue
+            for w, doc in zip(weights_k, dataset.rankings[qid].doc_ids):
                 dist = dataset.predicted.get((qid, doc))
                 if dist is None:
                     raise MissingDistributionError(
@@ -183,6 +203,61 @@ def interval(
     )
 
 
+class CalibrationBatches(Sequence[CalibrationBatch]):
+    """Calibration batches stored as a sorted query pool and an index matrix.
+
+    Row i of ``index`` holds the pool positions of batch i's ids in draw
+    order and ``sizes[i]`` is its length; the shorter rows of a ragged set
+    are padded with ``len(pool)``.  Reads as the list of query-id tuples it
+    stands for: ``len``, indexing, iteration, ``reversed`` and ``==`` against
+    a list of tuples all work.
+    """
+
+    def __init__(self, pool: Sequence[str], index: np.ndarray, sizes: np.ndarray | None = None):
+        self.pool = tuple(pool)
+        self.index = np.asarray(index, dtype=np.intp)
+        if sizes is None:
+            sizes = np.full(len(self.index), self.index.shape[1], dtype=np.intp)
+        self.sizes = sizes
+        self.index.setflags(write=False)
+        self.sizes.setflags(write=False)
+
+    @classmethod
+    def of(cls, batches: Iterable[Iterable[str]]) -> "CalibrationBatches":
+        """The index form of any iterable of query-id batches, ragged or not."""
+        if isinstance(batches, cls):
+            return batches
+        rows = [tuple(b) for b in batches]
+        pool = sorted({q for b in rows for q in b})
+        pos = {q: i for i, q in enumerate(pool)}
+        sizes = np.array([len(b) for b in rows], dtype=np.intp)
+        index = np.full((len(rows), int(sizes.max(initial=0))), len(pool), dtype=np.intp)
+        for i, b in enumerate(rows):
+            index[i, : len(b)] = [pos[q] for q in b]
+        return cls(pool, index, sizes)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CalibrationBatches(self.pool, self.index[i], self.sizes[i])
+        return tuple(self.pool[j] for j in self.index[i, : self.sizes[i]].tolist())
+
+    def __iter__(self):
+        ids = np.array(self.pool + ("",), dtype=object)[self.index]  # padding reads ""
+        for row, size in zip(ids.tolist(), self.sizes.tolist()):
+            yield tuple(row[:size])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"CalibrationBatches({len(self)} batches over {len(self.pool)} queries)"
+
+
 def build_batches(
     labeled_queries: Iterable[str],
     *,
@@ -190,7 +265,7 @@ def build_batches(
     num_batches: int | None = None,
     batch_size: int | None = None,
     seed: int = 0,
-) -> list[CalibrationBatch]:
+) -> CalibrationBatches:
     """Assemble calibration batches from labeled query ids.
 
     mode="bootstrap": ``num_batches`` batches of ``batch_size`` ids drawn
@@ -202,7 +277,7 @@ def build_batches(
     if not pool:
         raise InsufficientDataError("no labeled queries to build calibration batches from")
     if mode == "per_query":
-        return [(q,) for q in pool]
+        return CalibrationBatches(pool, np.arange(len(pool))[:, None])
     if mode != "bootstrap":
         raise ValueError(f"mode must be 'bootstrap' or 'per_query', got {mode!r}")
     if num_batches is None or num_batches < 1:
@@ -212,8 +287,7 @@ def build_batches(
     if batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     rng = stream(seed)
-    idx = rng.integers(0, len(pool), size=(num_batches, batch_size))
-    return [tuple(pool[i] for i in row) for row in idx]
+    return CalibrationBatches(pool, rng.integers(0, len(pool), size=(num_batches, batch_size)))
 
 
 def calibration_threshold(alpha: float, num_batches: int) -> float:
@@ -235,7 +309,9 @@ class CrcCalibration:
     """A calibrated perturbation-strength pair plus its audit trail.
 
     Serialisable with :meth:`to_text` / :meth:`from_text` so calibration and
-    interval construction can run as separate invocations.
+    interval construction can run as separate invocations.  ``metric`` and
+    ``max_label`` stamp the metric name and label scale the pair was
+    calibrated for; :meth:`check_applies` refuses any other.
     """
 
     lambda_low: float
@@ -244,6 +320,8 @@ class CrcCalibration:
     num_batches: int
     achieved_loss_low: float
     achieved_loss_high: float
+    metric: str | None = None
+    max_label: int | None = None
 
     def __post_init__(self):
         if not (-1.0 < self.lambda_low < 1.0) or not (-1.0 < self.lambda_high < 1.0):
@@ -272,6 +350,8 @@ class CrcCalibration:
                 "num_batches": self.num_batches,
                 "achieved_loss_low": self.achieved_loss_low,
                 "achieved_loss_high": self.achieved_loss_high,
+                "metric": self.metric,
+                "max_label": self.max_label,
             },
             sort_keys=True,
         )
@@ -287,9 +367,21 @@ class CrcCalibration:
                 num_batches=int(raw["num_batches"]),
                 achieved_loss_low=float(raw["achieved_loss_low"]),
                 achieved_loss_high=float(raw["achieved_loss_high"]),
+                metric=None if raw.get("metric") is None else str(raw["metric"]),
+                max_label=None if raw.get("max_label") is None else int(raw["max_label"]),
             )
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed calibration record: {e}") from None
+
+    def check_applies(self, spec: MetricSpec, scale: LabelScale) -> None:
+        """Raise :class:`CalibrationMismatchError` unless this record is
+        stamped with ``spec``'s name and ``scale``'s top label."""
+        wanted = (format_metric(spec), scale.max_label)
+        if (self.metric, self.max_label) != wanted:
+            raise CalibrationMismatchError(
+                f"calibration record is for metric={self.metric}, max_label={self.max_label}; "
+                f"this data needs metric={wanted[0]}, max_label={wanted[1]}"
+            )
 
 
 def _search_smallest(pred, tol: float) -> float:
@@ -335,9 +427,36 @@ def _search_largest(pred, tol: float) -> float:
     return lo
 
 
+def _batch_means(index: np.ndarray, sizes: np.ndarray, n_queries: int):
+    """The map from per-query values to per-batch means, for batches given as
+    rows of query positions (rows padded with ``n_queries``).
+
+    When the batches are at least as long as the query list, an M x n_q
+    matrix of per-batch query weights (count / batch size) makes each call
+    one matrix-vector product.  Shorter batches, such as singletons, are
+    summed column by column in draw order instead, so memory stays
+    O(M * min(batch size, n_q)).
+    """
+    m, b = index.shape
+    if n_queries <= b:
+        cells = np.arange(m)[:, None] * (n_queries + 1) + index
+        counts = np.bincount(cells.ravel(), minlength=m * (n_queries + 1))
+        weights = counts.reshape(m, n_queries + 1)[:, :n_queries] / sizes[:, None]
+        return lambda values: weights @ values
+
+    def means(values: np.ndarray) -> np.ndarray:
+        values = np.append(values, 0.0)  # padding reads 0
+        total = values[index[:, 0]]
+        for j in range(1, b):
+            total += values[index[:, j]]
+        return total / sizes
+
+    return means
+
+
 def calibrate(
     spec: MetricSpec,
-    batches: Sequence[CalibrationBatch],
+    batches: Iterable[Iterable[str]],
     dataset: Dataset,
     alpha: float,
     *,
@@ -352,17 +471,21 @@ def calibrate(
     lambda_low down).  If the searches cross, lambda_low is nudged just under
     lambda_high.
 
+    ``batches`` is the output of :func:`build_batches` or any sequence of
+    query-id batches (which may differ in length).  The result is stamped
+    with the metric and label scale.
+
     Raises :class:`TooFewBatchesError` when the batch count makes the
     threshold non-positive, and :class:`CalibrationInfeasibleError` when no
     strength inside (-1, 1) satisfies a bound.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    batches = [tuple(b) for b in batches]
+    batches = CalibrationBatches.of(batches)
     num_batches = len(batches)
     if num_batches == 0:
         raise InsufficientDataError("no calibration batches given")
-    if any(len(b) == 0 for b in batches):
+    if (batches.sizes == 0).any():
         raise ValueError("calibration batches must be non-empty")
     needed = required_batches(alpha)
     if num_batches < needed:
@@ -376,29 +499,26 @@ def calibrate(
             f"risk threshold {thr} is non-positive for {num_batches} batches at alpha={alpha}"
         )
 
-    qids = sorted({q for b in batches for q in b})
+    # Only the pool queries some batch draws take part, renumbered in order.
+    n_pool = len(batches.pool)
+    drawn = np.bincount(batches.index.ravel(), minlength=n_pool + 1)[:n_pool] > 0
+    qids = [q for q, d in zip(batches.pool, drawn.tolist()) if d]
+    index = batches.index
+    if len(qids) < n_pool:
+        index = np.append(np.cumsum(drawn) - 1, len(qids))[index]
     for q in qids:
         if q not in dataset.rankings:
             raise UnlabeledQueryError(f"calibration batch names unknown query {q!r}")
-    true_u = {q: query_utility_true(spec, dataset.rankings[q], dataset.truth) for q in qids}
+    true_u = np.array([query_utility_true(spec, dataset.rankings[q], dataset.truth) for q in qids])
     engine = _UtilityEngine(spec, dataset, qids)
-    qindex = {q: i for i, q in enumerate(qids)}
-
-    flat_q = np.array([qindex[q] for b in batches for q in b], dtype=np.intp)
-    flat_b = np.repeat(np.arange(num_batches), [len(b) for b in batches])
-    sizes = np.array([len(b) for b in batches], dtype=float)
-    flat_true = np.array([true_u[q] for b in batches for q in b], dtype=float)
-    batch_true = np.bincount(flat_b, weights=flat_true, minlength=num_batches) / sizes
-
-    def batch_crc(lam: float) -> np.ndarray:
-        pq = engine.per_query_utility(lam)
-        return np.bincount(flat_b, weights=pq[flat_q], minlength=num_batches) / sizes
+    batch_mean = _batch_means(index, batches.sizes, len(qids))
+    batch_true = batch_mean(true_u)
 
     def loss_high(lam: float) -> float:
-        return float(np.mean(batch_crc(lam) < batch_true))
+        return float(np.mean(batch_mean(engine.per_query_utility(lam)) < batch_true))
 
     def loss_low(lam: float) -> float:
-        return float(np.mean(batch_crc(lam) > batch_true))
+        return float(np.mean(batch_mean(engine.per_query_utility(lam)) > batch_true))
 
     lam_high = _search_smallest(lambda l: loss_high(l) < thr, tol)
     lam_low = _search_largest(lambda l: loss_low(l) < thr, tol)
@@ -416,6 +536,8 @@ def calibrate(
         num_batches=num_batches,
         achieved_loss_low=loss_low(lam_low),
         achieved_loss_high=loss_high(lam_high),
+        metric=format_metric(spec),
+        max_label=dataset.scale.max_label,
     )
 
 
@@ -428,11 +550,14 @@ def crc_ci(
     """Interval for the target queries from a calibrated strength pair.
 
     The point estimate is the unperturbed predicted utility of the targets;
-    the bounds are the perturbed utilities at lambda_low and lambda_high.
+    the bounds are the perturbed utilities at lambda_low and lambda_high.  A
+    stamped calibration is refused for another metric or label scale.
     """
     qs = list(target_queries)
     if not qs:
         raise EmptyQuerySetError("interval over an empty query set")
+    if calibration.metric is not None or calibration.max_label is not None:
+        calibration.check_applies(spec, dataset.scale)
     engine = _UtilityEngine(spec, dataset, qs)
     lo = float(engine.per_query_utility(calibration.lambda_low).mean())
     hi = float(engine.per_query_utility(calibration.lambda_high).mean())

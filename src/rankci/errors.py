@@ -52,3 +52,8 @@ class CalibrationInfeasibleError(RankciError):
 class TooFewBatchesError(CalibrationInfeasibleError):
     """The calibration risk threshold is non-positive for this batch count,
     so no achieved loss could ever satisfy it."""
+
+
+class CalibrationMismatchError(RankciError):
+    """A calibration record is applied to another metric or label scale than
+    the one it was calibrated for, or carries no record of either."""

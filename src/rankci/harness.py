@@ -296,9 +296,13 @@ def per_query_rows(
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan and write rows, aggregates, per-query intervals and a
     summary into its output directory.  Returns that directory."""
+    dataset = load_dataset_for_plan(plan)
+    # Singleton-batch calibration is the step most likely to be infeasible;
+    # run it first so that failure leaves no partial output directory.
+    pq = per_query_rows(dataset, plan.metric, tau_grid=plan.tau_grid, alpha=plan.alpha,
+                        split_seed=plan.split_seed)
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset_for_plan(plan)
 
     rows = sweep(
         dataset, plan.metric,
@@ -312,8 +316,6 @@ def run_plan(plan: ExperimentPlan) -> Path:
     aggs = aggregate(rows)
     write_csv(out_dir / "aggregate.csv", AGG_FIELDS, aggs)
 
-    pq = per_query_rows(dataset, plan.metric, tau_grid=plan.tau_grid, alpha=plan.alpha,
-                        split_seed=plan.split_seed)
     write_csv(out_dir / "per_query.csv", PER_QUERY_FIELDS, pq)
 
     summary = {

@@ -16,6 +16,7 @@ order gives 7/log2(2) + 0/log2(3) + 3/log2(4) = 8.5.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Iterable, Mapping
@@ -68,8 +69,11 @@ def parse_metric(name: str) -> MetricSpec:
 
 
 def format_metric(spec: MetricSpec) -> str:
+    """The metric's name: ``dcg@K`` or ``prec@K``, suffixed ``:<gain>`` when
+    the gain is not the one :func:`parse_metric` gives that name."""
     prefix = "dcg" if spec.kind == "dcg" else "prec"
-    return f"{prefix}@{spec.cutoff_k}"
+    name = f"{prefix}@{spec.cutoff_k}"
+    return name if parse_metric(name) == spec else f"{name}:{spec.gain}"
 
 
 def rank_weight(spec: MetricSpec, rank: int) -> float:
@@ -84,6 +88,12 @@ def rank_weight(spec: MetricSpec, rank: int) -> float:
     if spec.kind == "precision":
         return 1.0 / spec.cutoff_k
     return 1.0 / math.log2(rank + 1)
+
+
+@functools.lru_cache(maxsize=32)
+def rank_weights(spec: MetricSpec) -> tuple[float, ...]:
+    """Weights of ranks 1..cutoff_k; every later rank weighs 0."""
+    return tuple(rank_weight(spec, rank) for rank in range(1, spec.cutoff_k + 1))
 
 
 def gain(spec: MetricSpec, label: int) -> float:
@@ -120,10 +130,7 @@ def query_utility_true(
     may be unjudged).
     """
     total = 0.0
-    for rank, doc in enumerate(ranking.doc_ids, start=1):
-        w = rank_weight(spec, rank)
-        if w == 0.0:
-            continue
+    for rank, (w, doc) in enumerate(zip(rank_weights(spec), ranking.doc_ids), start=1):
         judgment = truth.get((ranking.query_id, doc))
         if judgment is None:
             raise UnlabeledQueryError(
@@ -140,10 +147,7 @@ def query_utility_predicted(
 ) -> float:
     """Utility of one query with expected gains in place of true gains."""
     total = 0.0
-    for rank, doc in enumerate(ranking.doc_ids, start=1):
-        w = rank_weight(spec, rank)
-        if w == 0.0:
-            continue
+    for rank, (w, doc) in enumerate(zip(rank_weights(spec), ranking.doc_ids), start=1):
         dist = predicted.get((ranking.query_id, doc))
         if dist is None:
             raise MissingDistributionError(

@@ -211,14 +211,65 @@ def test_ci_crc_per_query_needs_enough_singleton_batches(labeled_corpus, capsys)
     assert "calibration infeasible" in err
 
 
+def _load_calibration(corpus, cal_path, capsys, *extra):
+    return _run_main(
+        ["ci", "--run", corpus["run"], "--qrels", corpus["qrels"], "--dists", corpus["dists"],
+         "--method", "crc", "--load-calibration", str(cal_path), *extra], capsys)
+
+
 def test_ci_corrupt_calibration_record(labeled_corpus, tmp_path, capsys):
+    # A record with a missing key is a malformed file: a format error (2).
     cal_path = tmp_path / "cal.json"
     cal_path.write_text('{"lambda_low": 0.5}', encoding="utf-8")
+    code, _, err = _load_calibration(labeled_corpus, cal_path, capsys)
+    assert code == 2
+    assert "format error" in err and str(cal_path) in err
+
+
+def test_ci_calibration_file_that_is_not_json_is_a_format_error(labeled_corpus, tmp_path, capsys):
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text("not json", encoding="utf-8")
+    code, _, err = _load_calibration(labeled_corpus, cal_path, capsys)
+    assert code == 2
+    assert "format error" in err and str(cal_path) in err
+
+
+def test_ci_refuses_a_calibration_made_for_another_metric(labeled_corpus, tmp_path, capsys):
+    cal_path = tmp_path / "cal.json"
     code, _, _ = _run_main(
         ["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
-         "--dists", labeled_corpus["dists"], "--method", "crc",
-         "--load-calibration", str(cal_path)], capsys)
-    assert code == 1
+         "--dists", labeled_corpus["dists"], "--method", "crc", "--metric", "dcg@10",
+         "--batches", "200", "--seed", "4", "--save-calibration", str(cal_path)], capsys)
+    assert code == 0
+    assert json.loads(cal_path.read_text())["metric"] == "dcg@10"
+
+    code, out, err = _load_calibration(labeled_corpus, cal_path, capsys, "--metric", "prec@10")
+    assert code == 2
+    assert out == ""
+    assert "dcg@10" in err and "prec@10" in err
+
+    # calibrated on a 0-2 scale, so a corpus on a 0-3 scale is refused too
+    ds = generate(SynthConfig(num_queries=30, docs_per_query=6, scale=LabelScale(3),
+                              truth_prior=(0.4, 0.3, 0.2, 0.1), annotator_sharpness=4.0, seed=3))
+    other = {name: tmp_path / f"other.{name}" for name in ("run", "qrels", "dists")}
+    other["run"].write_text(write_run(ds.rankings), encoding="utf-8")
+    other["qrels"].write_text(write_qrels(ds.truth), encoding="utf-8")
+    other["dists"].write_text(write_dists(ds.predicted), encoding="utf-8")
+    code, out, err = _load_calibration({k: str(v) for k, v in other.items()}, cal_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert "max_label=2" in err and "max_label=3" in err
+
+
+def test_ci_refuses_a_calibration_record_without_a_stamp(labeled_corpus, tmp_path, capsys):
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text(json.dumps({
+        "lambda_low": -0.5, "lambda_high": 0.5, "alpha": 0.05, "num_batches": 200,
+        "achieved_loss_low": 0.0, "achieved_loss_high": 0.0}), encoding="utf-8")
+    code, out, err = _load_calibration(labeled_corpus, cal_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert "metric=None" in err and "metric=dcg@10" in err
 
 
 # --- config files ------------------------------------------------------------------
@@ -345,6 +396,9 @@ def test_harness_infeasible_calibration_exits_3(tmp_path, capsys):
         capsys)
     assert code == 3
     assert "calibration infeasible" in err
+    out_dir = tmp_path / "out"
+    assert not any((out_dir / name).exists()
+                   for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"))
 
 
 # --- byte determinism through the real entry point -------------------------------------

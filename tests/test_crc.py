@@ -1,11 +1,15 @@
 """Risk-controlled intervals: perturbation algebra, batch calibration, and
 the serialised calibration record."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rankci.crc import (
+    CalibrationBatches,
     CrcCalibration,
+    _perturb_rows,
     build_batches,
     calibrate,
     calibration_threshold,
@@ -65,6 +69,18 @@ def test_perturb_one_hot_is_invariant_at_any_strength():
 def test_perturb_rejects_out_of_range_strength(lam):
     with pytest.raises(ValueError):
         perturb_distribution(RelevanceDistribution((0.5, 0.5)), lam)
+
+
+def test_scalar_perturbation_agrees_with_the_row_kernel():
+    rng = stream(34)
+    for length in range(2, 7):
+        rows = np.vstack([rng.dirichlet(np.ones(length), size=100),
+                          rng.dirichlet(np.full(length, 0.2), size=100)])
+        for lam in (-0.97, -0.6, -0.25, -0.01, 0.01, 0.25, 0.6, 0.97):
+            expected = _perturb_rows(rows, lam)
+            got = np.array([perturb_distribution(RelevanceDistribution(tuple(r)), lam).probs
+                            for r in rows])
+            assert np.abs(got - expected).max() <= 1e-15
 
 
 def test_perturbed_distributions_stay_normalised():
@@ -164,6 +180,19 @@ def test_build_batches_default_size_is_pool_size():
 def test_build_batches_per_query_mode():
     batches = build_batches(["c", "a", "b"], mode="per_query")
     assert batches == [("a",), ("b",), ("c",)]
+
+
+def test_batches_read_as_a_list_of_tuples():
+    batches = build_batches(["c", "a", "b"], num_batches=6, batch_size=4, seed=2)
+    as_list = list(batches)
+    assert all(isinstance(b, tuple) and len(b) == 4 for b in as_list)
+    assert batches[-1] == as_list[-1]
+    assert list(reversed(batches)) == as_list[::-1]
+    assert batches[1:3] == as_list[1:3]
+    ragged = [("b", "a"), ("c",), ("a", "a", "c")]
+    assert CalibrationBatches.of(ragged) == ragged
+    with pytest.raises(ValueError):
+        batches.index[0, 0] = 1  # read-only
 
 
 def test_build_batches_validation():
@@ -271,6 +300,23 @@ def test_calibrate_keeps_losses_under_threshold_and_is_recomputable():
         if utility_crc(DCG, batch, ds, cal.lambda_high) < true_mean:
             misses += 1
     assert misses / len(batches) == pytest.approx(cal.achieved_loss_high, abs=1e-12)
+
+
+def test_per_query_calibration_memory_stays_far_below_a_dense_matrix():
+    # 3,000 singleton batches over 3,000 queries: a dense batch-by-query
+    # weight matrix would take 8 * 3000**2 bytes (72 MB).
+    n = 3000
+    ds = generate(SynthConfig(num_queries=n, docs_per_query=4, scale=LabelScale(1),
+                              truth_prior=(0.7, 0.3), annotator_sharpness=3.0, seed=5))
+    batches = build_batches(ds.queries(), mode="per_query")
+    tracemalloc.start()
+    try:
+        cal = calibrate(DCG, batches, ds, alpha=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cal.num_batches == n
+    assert peak < 8 * n * n / 10
 
 
 def test_crc_ci_report_contents():
