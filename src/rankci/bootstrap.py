@@ -17,6 +17,9 @@ from .errors import InsufficientDataError
 from .model import CiReport
 from .seeding import stream
 
+# Most resample indices drawn and gathered at once (8 MB of intp).
+_CHUNK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class EmpiricalEstimate:
@@ -48,9 +51,10 @@ def bootstrap_ci(
 
     Draws ``resamples`` with-replacement samples of the original size, takes
     the mean of each, and reports the alpha/2 and 1 - alpha/2 percentiles of
-    those means.  All resample indices come from a single seeded stream in
-    one block, so the result is bit-identical for a given seed regardless of
-    where or how often it is computed.
+    those means.  All resample indices come from a single seeded stream, in
+    row chunks of at most :data:`_CHUNK_ENTRIES` indices, so the result is
+    bit-identical for a given seed regardless of where or how often it is
+    computed, and memory stays bounded for large n.
 
     Preconditions: at least 2 values, at least 100 resamples, alpha in (0, 1).
     """
@@ -64,8 +68,13 @@ def bootstrap_ci(
 
     est = empirical_estimate(arr)
     rng = stream(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    # Row chunks of the resamples x n index matrix, drawn one after another
+    # from the same stream: the same indices as one block, in bounded memory.
+    rows = max(1, _CHUNK_ENTRIES // arr.size)
+    means = np.concatenate([
+        arr[rng.integers(0, arr.size, size=(min(rows, resamples - start), arr.size))].mean(axis=1)
+        for start in range(0, resamples, rows)
+    ])
     lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)], method="linear")
     return CiReport(
         method="bootstrap",

@@ -249,8 +249,8 @@ def cmd_ci(args) -> int:
             _write_out(out_path, payload_obj=ci.to_dict())
         return EXIT_OK
 
-    pred_u = predicted_utilities(metric, dataset, queries)
     if method == "ppi":
+        pred_u = predicted_utilities(metric, dataset, queries)
         est = ppi_estimate([true_u[q] for q in labeled], [pred_u[q] for q in labeled],
                            [pred_u[q] for q in queries])
         ci = ppi_ci(est, alpha)

@@ -43,18 +43,12 @@ from .errors import (
     CalibrationMismatchError,
     EmptyQuerySetError,
     InsufficientDataError,
-    MissingDistributionError,
     TooFewBatchesError,
     UnlabeledQueryError,
 )
-from .metrics import (
-    MetricSpec,
-    format_metric,
-    gain,
-    gain_vector,
-    query_utility_true,
-    rank_weights,
-)
+from .metrics import MetricSpec, UtilityView, format_metric, gain_vector
+# Unused here, but bench/tracing.py patches this name on this module.
+from .metrics import query_utility_true
 from .model import CiReport, Dataset, LabelScale, RelevanceDistribution
 from .seeding import stream
 
@@ -123,49 +117,19 @@ def mu_crc(spec: MetricSpec, dist: RelevanceDistribution, lam: float) -> float:
     top label as lam -> 1 and of label 0 as lam -> -1 (for distributions with
     mass at the extremes), and is non-decreasing in lam throughout.
     """
-    lam = _check_lambda(lam)
     row = np.asarray(dist.probs, dtype=float)[None, :]
-    gains = np.array([gain(spec, r) for r in range(len(dist.probs))], dtype=float)
-    if lam == 0.0:
-        return float(row[0] @ gains)
-    return float(_perturb_rows(row, lam)[0] @ gains)
+    gains = gain_vector(spec, LabelScale(dist.max_label))
+    return float(_perturb_rows(row, _check_lambda(lam))[0] @ gains)
 
 
-class _UtilityEngine:
-    """Stacked per-document arrays for fast perturbed-utility evaluation.
-
-    Holds, for a fixed query list, every ranked document inside the metric
-    cutoff (the first ``cutoff_k``) as one row: its predicted label
-    probabilities, its rank weight, and the index of its query.  ``per_query_utility(lam)`` then perturbs all
-    rows at once and segment-sums weight * expected gain per query.
-    """
-
-    def __init__(self, spec: MetricSpec, dataset: Dataset, query_ids: Sequence[str]):
-        self.query_ids = list(query_ids)
-        self.gains = gain_vector(spec, dataset.scale)
-        weights_k = rank_weights(spec)
-        probs: list[tuple[float, ...]] = []
-        weights: list[float] = []
-        segments: list[int] = []
-        for qi, qid in enumerate(self.query_ids):
-            for w, doc in zip(weights_k, dataset.rankings[qid].doc_ids):
-                dist = dataset.predicted.get((qid, doc))
-                if dist is None:
-                    raise MissingDistributionError(
-                        f"query {qid!r}: document {doc!r} has no predicted distribution"
-                    )
-                probs.append(dist.probs)
-                weights.append(w)
-                segments.append(qi)
-        n_labels = dataset.scale.num_labels
-        self.probs = np.array(probs, dtype=float).reshape(len(probs), n_labels)
-        self.weights = np.array(weights, dtype=float)
-        self.segments = np.array(segments, dtype=np.intp)
+class _UtilityEngine(UtilityView):
+    """A :class:`~rankci.metrics.UtilityView` that also evaluates perturbed
+    utilities: ``per_query_utility(lam)`` perturbs every row at once and sums
+    weight * expected gain per query."""
 
     def per_query_utility(self, lam: float) -> np.ndarray:
         """Perturbed utility of every query, in query_ids order."""
-        mu = _perturb_rows(self.probs, lam) @ self.gains
-        return np.bincount(self.segments, weights=self.weights * mu, minlength=len(self.query_ids))
+        return self._per_query(_perturb_rows(self.probs, lam) @ self.gains)
 
 
 def utility_crc(spec: MetricSpec, queries: Iterable[str], dataset: Dataset, lam: float) -> float:
@@ -454,6 +418,31 @@ def _batch_means(index: np.ndarray, sizes: np.ndarray, n_queries: int):
     return means
 
 
+def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[CalibrationBatches, float]:
+    """The batches in index form and their per-side risk threshold, after
+    refusing an alpha, batch set or batch count that cannot calibrate."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    batches = CalibrationBatches.of(batches)
+    num_batches = len(batches)
+    if num_batches == 0:
+        raise InsufficientDataError("no calibration batches given")
+    if (batches.sizes == 0).any():
+        raise ValueError("calibration batches must be non-empty")
+    needed = required_batches(alpha)
+    if num_batches < needed:
+        raise TooFewBatchesError(
+            f"{num_batches} calibration batches, but alpha={alpha} needs at least {needed} "
+            "for a positive risk threshold"
+        )
+    thr = calibration_threshold(alpha, num_batches)
+    if thr <= 0.0:
+        raise TooFewBatchesError(
+            f"risk threshold {thr} is non-positive for {num_batches} batches at alpha={alpha}"
+        )
+    return batches, thr
+
+
 def calibrate(
     spec: MetricSpec,
     batches: Iterable[Iterable[str]],
@@ -479,26 +468,23 @@ def calibrate(
     threshold non-positive, and :class:`CalibrationInfeasibleError` when no
     strength inside (-1, 1) satisfies a bound.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    batches = CalibrationBatches.of(batches)
-    num_batches = len(batches)
-    if num_batches == 0:
-        raise InsufficientDataError("no calibration batches given")
-    if (batches.sizes == 0).any():
-        raise ValueError("calibration batches must be non-empty")
-    needed = required_batches(alpha)
-    if num_batches < needed:
-        raise TooFewBatchesError(
-            f"{num_batches} calibration batches, but alpha={alpha} needs at least {needed} "
-            "for a positive risk threshold"
-        )
-    thr = calibration_threshold(alpha, num_batches)
-    if thr <= 0.0:
-        raise TooFewBatchesError(
-            f"risk threshold {thr} is non-positive for {num_batches} batches at alpha={alpha}"
-        )
+    batches, _ = _checked_batches(batches, alpha)  # before any work on the dataset
+    for q in batches.pool:
+        if q not in dataset.rankings:
+            raise UnlabeledQueryError(f"calibration batch names unknown query {q!r}")
+    return _calibrate(batches, _UtilityEngine(spec, dataset, batches.pool), alpha, tol=tol)
 
+
+def _calibrate(
+    batches: Iterable[Iterable[str]],
+    view: _UtilityEngine,
+    alpha: float,
+    *,
+    tol: float = 1e-6,
+) -> CrcCalibration:
+    """:func:`calibrate` on a view that holds at least every query the
+    batches draw, stamped with the view's metric and label scale."""
+    batches, thr = _checked_batches(batches, alpha)
     # Only the pool queries some batch draws take part, renumbered in order.
     n_pool = len(batches.pool)
     drawn = np.bincount(batches.index.ravel(), minlength=n_pool + 1)[:n_pool] > 0
@@ -506,13 +492,9 @@ def calibrate(
     index = batches.index
     if len(qids) < n_pool:
         index = np.append(np.cumsum(drawn) - 1, len(qids))[index]
-    for q in qids:
-        if q not in dataset.rankings:
-            raise UnlabeledQueryError(f"calibration batch names unknown query {q!r}")
-    true_u = np.array([query_utility_true(spec, dataset.rankings[q], dataset.truth) for q in qids])
-    engine = _UtilityEngine(spec, dataset, qids)
+    engine = view if view.query_ids == qids else view.subset(qids)
     batch_mean = _batch_means(index, batches.sizes, len(qids))
-    batch_true = batch_mean(true_u)
+    batch_true = batch_mean(engine.true_utilities())
 
     def loss_high(lam: float) -> float:
         return float(np.mean(batch_mean(engine.per_query_utility(lam)) < batch_true))
@@ -533,11 +515,11 @@ def calibrate(
         lambda_low=lam_low,
         lambda_high=lam_high,
         alpha=alpha,
-        num_batches=num_batches,
+        num_batches=len(batches),
         achieved_loss_low=loss_low(lam_low),
         achieved_loss_high=loss_high(lam_high),
-        metric=format_metric(spec),
-        max_label=dataset.scale.max_label,
+        metric=format_metric(view.spec),
+        max_label=view.scale.max_label,
     )
 
 
@@ -558,10 +540,14 @@ def crc_ci(
         raise EmptyQuerySetError("interval over an empty query set")
     if calibration.metric is not None or calibration.max_label is not None:
         calibration.check_applies(spec, dataset.scale)
-    engine = _UtilityEngine(spec, dataset, qs)
-    lo = float(engine.per_query_utility(calibration.lambda_low).mean())
-    hi = float(engine.per_query_utility(calibration.lambda_high).mean())
-    est = float(engine.per_query_utility(0.0).mean())
+    return _crc_ci(_UtilityEngine(spec, dataset, qs), calibration)
+
+
+def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
+    """:func:`crc_ci` over every query of a view, without the stamp check."""
+    lo = float(view.per_query_utility(calibration.lambda_low).mean())
+    hi = float(view.per_query_utility(calibration.lambda_high).mean())
+    est = float(view.per_query_utility(0.0).mean())
     return CiReport(
         method="crc",
         estimate=est,

@@ -41,7 +41,10 @@ import numpy as np
 
 from .bootstrap import bootstrap_ci
 from .corpus import build_dataset
-from .crc import build_batches, calibrate, crc_ci
+# The sweep works on views, so calibrate, crc_ci, true_utilities,
+# predicted_utilities, bias_dataset and oracle_dataset are not called here;
+# they stay bound because bench/tracing.py patches them on this module.
+from .crc import _calibrate, _crc_ci, _UtilityEngine, build_batches, calibrate, crc_ci
 from .errors import CalibrationInfeasibleError
 from .metrics import (
     MetricSpec,
@@ -54,7 +57,7 @@ from .metrics import (
 from .model import Dataset, LabelScale
 from .ppi import ppi_ci, ppi_estimate
 from .seeding import child_seed, stream
-from .synth import SynthConfig, bias_dataset, generate, oracle_dataset
+from .synth import SynthConfig, bias_dataset, bias_probs, generate, oracle_dataset, oracle_probs
 
 METHODS = ("bootstrap", "ppi", "crc")
 
@@ -139,10 +142,6 @@ def load_dataset_for_plan(plan: ExperimentPlan) -> Dataset:
     )
 
 
-def _transform(dataset: Dataset, beta: float, tau: float) -> Dataset:
-    return oracle_dataset(bias_dataset(dataset, beta), tau)
-
-
 def halve_pool(pool: list[str], seed: int) -> tuple[list[str], list[str]]:
     """Split the labeled pool into validation and test halves, randomly but
     reproducibly.  Returns (validation, test), both sorted."""
@@ -178,20 +177,23 @@ def sweep(
     validation, test = halve_pool(pool, split_seed)
     val_arr = np.array(validation)
 
-    true_u = true_utilities(spec, dataset, pool)
+    view = _UtilityEngine(spec, dataset, pool)
+    true_u = dict(zip(pool, view.true_utilities().tolist()))
     truth_target = dataset_utility(spec, test, true_u)
 
-    # One transformed dataset and its predicted utilities per (beta, tau).
+    # Per (beta, tau): the transformed view, its predicted utilities and its
+    # test half.
     points = [(n, beta, tau) for n in n_grid for beta in beta_grid for tau in tau_grid]
-    transformed: dict[tuple[float, float], tuple[Dataset, dict[str, float]]] = {}
+    transformed = {}
     for _, beta, tau in points:
         if (beta, tau) not in transformed:
-            ds_t = _transform(dataset, beta, tau)
-            transformed[(beta, tau)] = (ds_t, predicted_utilities(spec, ds_t, pool))
+            view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
+            pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
+            transformed[(beta, tau)] = (view_t, pred_u, view_t.subset(test))
 
     def one_repeat(point_idx: int, repeat: int) -> list[dict]:
         n, beta, tau = points[point_idx]
-        ds_t, pred_u = transformed[(beta, tau)]
+        view_t, pred_u, test_view = transformed[(beta, tau)]
         base = {"n": n, "beta": beta, "tau": tau, "repeat": repeat, "truth": truth_target}
         rows = []
         if n > len(validation):
@@ -215,8 +217,7 @@ def sweep(
                 else:
                     batches = build_batches(labeled, mode="bootstrap", num_batches=num_batches,
                                             batch_size=n, seed=child_seed(seed, point_idx, repeat, 2))
-                    cal = calibrate(spec, batches, ds_t, alpha)
-                    ci = crc_ci(spec, test, ds_t, cal)
+                    ci = _crc_ci(test_view, _calibrate(batches, view_t, alpha))
             except CalibrationInfeasibleError as e:
                 rows.append({**base, "method": method, "width": "", "covered": "",
                              "low": "", "high": "", "status": f"calibration-infeasible: {e}"})
@@ -276,15 +277,16 @@ def per_query_rows(
     utility descending."""
     pool = dataset.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
-    true_u = true_utilities(spec, dataset, pool)
+    view = _UtilityEngine(spec, dataset, pool)
+    true_u = dict(zip(pool, view.true_utilities().tolist()))
+    batches = build_batches(validation, mode="per_query")
     out = []
     for tau in tau_grid:
-        ds_t = _transform(dataset, 0.0, tau)
-        pred_u = predicted_utilities(spec, ds_t, pool)
-        batches = build_batches(validation, mode="per_query")
-        cal = calibrate(spec, batches, ds_t, alpha)
+        view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
+        pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
+        cal = _calibrate(batches, view_t, alpha)
         for q in sorted(test, key=lambda q: (-true_u[q], q)):
-            ci = crc_ci(spec, [q], ds_t, cal)
+            ci = _crc_ci(view_t.subset([q]), cal)
             out.append({
                 "tau": tau, "query_id": q, "low": ci.lower, "high": ci.upper,
                 "truth": true_u[q], "predicted": pred_u[q],

@@ -16,11 +16,13 @@ order gives 7/log2(2) + 0/log2(3) + 3/log2(4) = 8.5.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,9 +107,24 @@ def gain(spec: MetricSpec, label: int) -> float:
     return float(2.0 ** label - 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def gain_vector(spec: MetricSpec, scale: LabelScale) -> np.ndarray:
-    """Gains of every label on the scale, as a float array indexed by label."""
-    return np.array([gain(spec, r) for r in scale.labels()], dtype=float)
+    """Gains of every label on the scale, as a read-only float array indexed
+    by label."""
+    out = np.array([gain(spec, r) for r in scale.labels()], dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def left_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis term by term from the left, as Python's ``sum``
+    adds a list.  ``numpy.sum`` and ``@`` may group the terms otherwise and
+    move the last bit, so every sum that must match a per-document loop bit
+    for bit goes through here."""
+    total = x[..., 0]
+    for r in range(1, x.shape[-1]):
+        total = total + x[..., r]
+    return total
 
 
 def expected_gain(spec: MetricSpec, dist: RelevanceDistribution) -> float:
@@ -115,7 +132,107 @@ def expected_gain(spec: MetricSpec, dist: RelevanceDistribution) -> float:
 
     Precondition: ``dist`` is a valid probability vector.
     """
-    return float(sum(p * gain(spec, r) for r, p in enumerate(dist.probs)))
+    probs = np.asarray(dist.probs, dtype=float)
+    return float(left_sum(probs * gain_vector(spec, LabelScale(dist.max_label))))
+
+
+class UtilityView:
+    """The first ``cutoff_k`` ranked documents of a query list as dense rows.
+
+    Rows run query by query, best rank first.  ``probs[R, L]`` holds each
+    row's predicted label distribution (``None`` in a view built without
+    predictions), ``labels[R]`` its true label (-1 where unjudged),
+    ``weights[R]`` its rank weight and ``segments[R]`` the position of its
+    query in ``query_ids``; query ``i`` owns rows ``starts[i]:starts[i+1]``.
+    Per-query sums run over the rows in this order, so they add up exactly as
+    a loop over each ranking does.  ``spec`` and the dataset's ``scale`` come
+    along for the calibration stamp.
+    """
+
+    def __init__(self, spec: MetricSpec, dataset: Dataset, query_ids: Iterable[str], *,
+                 predictions: bool = True):
+        self.spec, self.scale = spec, dataset.scale
+        self.query_ids = list(query_ids)
+        self.rankings = dataset.rankings
+        truth, predicted = dataset.truth, dataset.predicted
+        weights_k = rank_weights(spec)
+        probs: list[tuple[float, ...]] = []
+        labels: list[int] = []
+        weights: list[float] = []
+        counts: list[int] = []
+        for qid in self.query_ids:
+            keys = [(qid, doc) for doc in dataset.rankings[qid].doc_ids[: spec.cutoff_k]]
+            labels.extend([-1 if j is None else j.label for j in map(truth.get, keys)])
+            if predictions:
+                try:
+                    probs.extend([d.probs for d in map(predicted.__getitem__, keys)])
+                except KeyError as e:
+                    doc = e.args[0][1]
+                    raise MissingDistributionError(
+                        f"query {qid!r}: document {doc!r} at rank {keys.index(e.args[0]) + 1} "
+                        "has no predicted distribution"
+                    ) from None
+            weights.extend(weights_k[: len(keys)])
+            counts.append(len(keys))
+        n_labels = len(probs[0]) if probs else dataset.scale.num_labels
+        self.probs = np.array(probs, dtype=float).reshape(len(probs), n_labels) if predictions else None
+        self.gains = gain_vector(spec, LabelScale(n_labels - 1))
+        self.labels = np.array(labels, dtype=np.intp)
+        self.weights = np.array(weights, dtype=float)
+        self.starts = np.array([0, *accumulate(counts)], dtype=np.intp)
+        self.segments = np.repeat(np.arange(len(counts)), counts)
+
+    def _per_query(self, row_values: np.ndarray) -> np.ndarray:
+        """Per-query sums of weight * value, rows added in order."""
+        return np.bincount(self.segments, weights=self.weights * row_values,
+                           minlength=len(self.query_ids))
+
+    def true_utilities(self) -> np.ndarray:
+        """Utility of every query from its true labels, in query_ids order.
+
+        Raises :class:`UnlabeledQueryError` naming the first unjudged row.
+        """
+        unjudged = np.flatnonzero(self.labels < 0)
+        if unjudged.size:
+            row = int(unjudged[0])
+            qi = int(self.segments[row])
+            qid, rank = self.query_ids[qi], row - int(self.starts[qi]) + 1
+            doc = self.rankings[qid].doc_ids[rank - 1]
+            raise UnlabeledQueryError(
+                f"query {qid!r}: document {doc!r} at rank {rank} has no judgment"
+            )
+        top = LabelScale(max(1, int(self.labels.max(initial=1))))
+        return self._per_query(gain_vector(self.spec, top)[self.labels])
+
+    def predicted_utilities(self) -> np.ndarray:
+        """Utility of every query with expected gains in place of true gains."""
+        return self._per_query(left_sum(self.probs * self.gains))
+
+    def with_probs(self, probs: np.ndarray):
+        """The same rows with other predicted distributions."""
+        out = copy.copy(self)
+        out.probs = probs
+        return out
+
+    def subset(self, query_ids: Iterable[str]):
+        """The rows of ``query_ids`` (ids of this view, repeats allowed), in
+        that order."""
+        where = {q: i for i, q in enumerate(self.query_ids)}
+        pos = np.array([where[q] for q in query_ids], dtype=np.intp)
+        counts = self.starts[pos + 1] - self.starts[pos]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.arange(starts[-1]) + np.repeat(self.starts[pos] - starts[:-1], counts)
+        out = copy.copy(self)
+        out.query_ids = [self.query_ids[i] for i in pos.tolist()]
+        out.probs = None if self.probs is None else self.probs[rows]
+        out.labels, out.weights = self.labels[rows], self.weights[rows]
+        out.segments, out.starts = np.repeat(np.arange(len(pos)), counts), starts
+        return out
+
+
+def _one_query(ranking: RankedList, truth=None, predicted=None) -> Dataset:
+    # The view reads the label range from the data, so any scale will do.
+    return Dataset(LabelScale(1), {ranking.query_id: ranking}, truth or {}, predicted or {})
 
 
 def query_utility_true(
@@ -129,15 +246,9 @@ def query_utility_true(
     cutoff has no judgment (documents past the cutoff carry zero weight and
     may be unjudged).
     """
-    total = 0.0
-    for rank, (w, doc) in enumerate(zip(rank_weights(spec), ranking.doc_ids), start=1):
-        judgment = truth.get((ranking.query_id, doc))
-        if judgment is None:
-            raise UnlabeledQueryError(
-                f"query {ranking.query_id!r}: document {doc!r} at rank {rank} has no judgment"
-            )
-        total += w * gain(spec, judgment.label)
-    return total
+    view = UtilityView(spec, _one_query(ranking, truth=truth), [ranking.query_id],
+                       predictions=False)
+    return float(view.true_utilities()[0])
 
 
 def query_utility_predicted(
@@ -146,16 +257,8 @@ def query_utility_predicted(
     predicted: Mapping[tuple[str, str], RelevanceDistribution],
 ) -> float:
     """Utility of one query with expected gains in place of true gains."""
-    total = 0.0
-    for rank, (w, doc) in enumerate(zip(rank_weights(spec), ranking.doc_ids), start=1):
-        dist = predicted.get((ranking.query_id, doc))
-        if dist is None:
-            raise MissingDistributionError(
-                f"query {ranking.query_id!r}: document {doc!r} at rank {rank} has no "
-                "predicted distribution"
-            )
-        total += w * expected_gain(spec, dist)
-    return total
+    view = UtilityView(spec, _one_query(ranking, predicted=predicted), [ranking.query_id])
+    return float(view.predicted_utilities()[0])
 
 
 def dataset_utility(
@@ -173,10 +276,11 @@ def dataset_utility(
 def true_utilities(spec: MetricSpec, dataset: Dataset, queries: Iterable[str] | None = None) -> dict[str, float]:
     """Per-query true utilities for the given queries (default: all labeled)."""
     qs = list(queries) if queries is not None else dataset.labeled_queries()
-    return {q: query_utility_true(spec, dataset.rankings[q], dataset.truth) for q in qs}
+    view = UtilityView(spec, dataset, qs, predictions=False)
+    return dict(zip(qs, view.true_utilities().tolist()))
 
 
 def predicted_utilities(spec: MetricSpec, dataset: Dataset, queries: Iterable[str] | None = None) -> dict[str, float]:
     """Per-query predicted utilities for the given queries (default: all)."""
     qs = list(queries) if queries is not None else dataset.queries()
-    return {q: query_utility_predicted(spec, dataset.rankings[q], dataset.predicted) for q in qs}
+    return dict(zip(qs, UtilityView(spec, dataset, qs).predicted_utilities().tolist()))

@@ -144,7 +144,10 @@ class Dataset:
 
     def labeled_queries(self) -> list[str]:
         """Sorted ids of the queries whose rankings are fully judged."""
-        return [q for q in self.queries() if self.is_labeled(q)]
+        truth = self.truth
+        unjudged = {q for q, ranking in self.rankings.items()
+                    for d in ranking.doc_ids if (q, d) not in truth}
+        return [q for q in self.queries() if q not in unjudged]
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ to sharpness**(-|r - r_true|).  Sharpness 1 is an uninformative annotator
 order documents by true label plus unit Gaussian noise, so better documents
 tend to sit higher — like a real retrieval run.
 
-Two transforms distort or improve predictions after the fact:
+Two transforms distort or improve predictions after the fact.  Both are
+array operations over the last axis of a stack of distributions;
+:func:`apply_bias`/:func:`apply_oracle` (one distribution) and
+:func:`bias_dataset`/:func:`oracle_dataset` (a whole dataset) wrap them.
 
-* :func:`apply_bias` pushes mass toward the *complement* of each label's
+* :func:`bias_probs` pushes mass toward the *complement* of each label's
   probability — strength beta interpolates from unchanged (0) through
   uniform (0.5) to a normalised inversion (1), modelling a systematically
   wrong annotator;
-* :func:`apply_oracle` mixes the prediction with the one-hot truth —
+* :func:`oracle_probs` mixes the prediction with the one-hot truth —
   strength tau interpolates from unchanged (0) to a perfect annotator (1).
 
 Generation is deterministic for a given seed and independent of query
@@ -23,11 +26,12 @@ evaluation order (each query draws from its own derived stream).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UnlabeledQueryError
+from .metrics import left_sum
 from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from .seeding import stream
 
@@ -100,61 +104,89 @@ def generate(config: SynthConfig) -> Dataset:
     return Dataset(scale=config.scale, rankings=rankings, truth=truth, predicted=predicted)
 
 
-def apply_bias(dist: RelevanceDistribution, beta: float) -> RelevanceDistribution:
-    """Distort a prediction toward the complement of its own mass.
+def bias_probs(probs: np.ndarray, beta: float) -> np.ndarray:
+    """Distort predictions (distributions over the last axis) toward the
+    complement of their own mass.
 
     Each entry becomes ((1 - beta) * p + beta * (1 - p)) / Z with Z the
-    normaliser.  beta 0 is the identity, 0.5 yields the uniform distribution,
-    and 1 the normalised inversion — e.g. (0.2, 0.3, 0.5) -> (0.4, 0.35, 0.25).
+    normaliser.  beta 0 is the identity (``probs`` itself is returned), 0.5
+    yields the uniform distribution, and 1 the normalised inversion — e.g.
+    (0.2, 0.3, 0.5) -> (0.4, 0.35, 0.25).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    mixed = [(1.0 - beta) * p + beta * (1.0 - p) for p in dist.probs]
-    total = sum(mixed)
-    return RelevanceDistribution(tuple(m / total for m in mixed))
+    if beta == 0.0:
+        return probs
+    mixed = (1.0 - beta) * probs + beta * (1.0 - probs)
+    return mixed / left_sum(mixed)[..., None]
 
 
-def apply_oracle(dist: RelevanceDistribution, true_label: int, tau: float) -> RelevanceDistribution:
-    """Mix a prediction with the one-hot truth at strength tau.
+def oracle_probs(probs: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
+    """Mix predictions (distributions over the last axis) with the one-hot
+    truth ``labels`` (shape ``probs.shape[:-1]``) at strength tau.
 
-    tau 0 is the identity, 1 the perfect annotator; e.g. (0.5, 0.5) with
-    truth 1 at tau 0.5 -> (0.25, 0.75).
+    tau 0 is the identity (``probs`` itself is returned), 1 the perfect
+    annotator; e.g. (0.5, 0.5) with truth 1 at tau 0.5 -> (0.25, 0.75).  A
+    negative label marks an unjudged row, which has nothing to mix toward.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
+    if tau == 0.0:
+        return probs
+    labels = np.asarray(labels)
+    if (labels < 0).any():
+        raise UnlabeledQueryError("a prediction has no judgment to mix toward")
+    if (labels >= probs.shape[-1]).any():
+        raise ValueError("a true label is off the distributions' scale")
+    one_hot = labels[..., None] == np.arange(probs.shape[-1])
+    return (1.0 - tau) * probs + np.where(one_hot, tau, 0.0)
+
+
+def apply_bias(dist: RelevanceDistribution, beta: float) -> RelevanceDistribution:
+    """:func:`bias_probs` of one distribution."""
+    return RelevanceDistribution(tuple(bias_probs(np.array(dist.probs), beta).tolist()))
+
+
+def apply_oracle(dist: RelevanceDistribution, true_label: int, tau: float) -> RelevanceDistribution:
+    """:func:`oracle_probs` of one distribution with truth ``true_label``."""
     if not 0 <= true_label < len(dist.probs):
         raise ValueError(f"true_label {true_label} is off the distribution's scale")
-    out = [
-        (1.0 - tau) * p + (tau if r == true_label else 0.0)
-        for r, p in enumerate(dist.probs)
-    ]
-    return RelevanceDistribution(tuple(out))
+    out = oracle_probs(np.array(dist.probs), np.array(true_label), tau)
+    return RelevanceDistribution(tuple(out.tolist()))
+
+
+def _stacked(dataset: Dataset) -> np.ndarray:
+    """The dataset's predicted distributions as rows, in dict order."""
+    probs = np.array([d.probs for d in dataset.predicted.values()], dtype=float)
+    return probs.reshape(len(dataset.predicted), dataset.scale.num_labels)
+
+
+def _with_stacked(dataset: Dataset, probs: np.ndarray) -> Dataset:
+    """The dataset with its predicted distributions replaced by ``probs``'s
+    rows, in dict order."""
+    return replace(dataset, predicted={key: RelevanceDistribution(tuple(row))
+                                       for key, row in zip(dataset.predicted, probs.tolist())})
 
 
 def bias_dataset(dataset: Dataset, beta: float) -> Dataset:
-    """Apply :func:`apply_bias` to every predicted distribution."""
+    """Apply :func:`bias_probs` to every predicted distribution."""
     if beta == 0.0:
         return dataset
-    predicted = {key: apply_bias(d, beta) for key, d in dataset.predicted.items()}
-    return Dataset(
-        scale=dataset.scale, rankings=dataset.rankings, truth=dataset.truth, predicted=predicted
-    )
+    return _with_stacked(dataset, bias_probs(_stacked(dataset), beta))
 
 
 def oracle_dataset(dataset: Dataset, tau: float) -> Dataset:
-    """Apply :func:`apply_oracle` to every predicted distribution.
+    """Apply :func:`oracle_probs` to every predicted distribution.
 
     Requires a judgment for every predicted pair (synthetic datasets are
     fully judged).
     """
     if tau == 0.0:
         return dataset
-    predicted = {}
-    for key, d in dataset.predicted.items():
+    labels = []
+    for key in dataset.predicted:
         judgment = dataset.truth.get(key)
         if judgment is None:
             raise UnlabeledQueryError(f"pair {key!r} has no judgment to mix toward")
-        predicted[key] = apply_oracle(d, judgment.label, tau)
-    return Dataset(
-        scale=dataset.scale, rankings=dataset.rankings, truth=dataset.truth, predicted=predicted
-    )
+        labels.append(judgment.label)
+    return _with_stacked(dataset, oracle_probs(_stacked(dataset), np.array(labels), tau))

@@ -1,8 +1,11 @@
 """Percentile bootstrap: basic contract, determinism, and a coverage check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rankci import bootstrap as bootstrap_module
 from rankci.bootstrap import bootstrap_ci, empirical_estimate
 from rankci.errors import InsufficientDataError
 from rankci.seeding import stream
@@ -83,3 +86,35 @@ def test_bootstrap_coverage_near_nominal():
         hits += int(ci.lower <= 0.0 <= ci.upper)
     coverage = hits / reps
     assert 0.92 <= coverage <= 0.98, f"coverage {coverage}"
+
+
+def _one_block_ci(values, alpha, resamples, seed):
+    """The interval from the whole resamples x n index matrix drawn at once."""
+    arr = np.asarray(values, dtype=float)
+    idx = stream(seed).integers(0, arr.size, size=(resamples, arr.size))
+    means = arr[idx].mean(axis=1)
+    return np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)],
+                         method="linear").tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 81])
+@pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 20])
+def test_bootstrap_ci_chunked_draws_equal_one_block(n, chunk, monkeypatch):
+    monkeypatch.setattr(bootstrap_module, "_CHUNK_ENTRIES", chunk)
+    values = stream(n).normal(5.0, 3.0, size=n)
+    for resamples, seed in ((100, 0), (333, 4), (1001, 9)):
+        ci = bootstrap_ci(values, 0.1, resamples=resamples, seed=seed)
+        assert [ci.lower, ci.upper] == _one_block_ci(values, 0.1, resamples, seed)
+
+
+def test_bootstrap_ci_memory_stays_far_below_the_dense_index_matrix():
+    n, resamples = 40_000, 200
+    values = stream(1).normal(size=n)
+    dense_bytes = n * resamples * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values, 0.05, resamples=resamples, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 3

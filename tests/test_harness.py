@@ -19,9 +19,13 @@ from rankci.harness import (
     run_plan,
     sweep,
 )
-from rankci.metrics import parse_metric
+from rankci.bootstrap import bootstrap_ci
+from rankci.crc import build_batches, calibrate, crc_ci
+from rankci.metrics import dataset_utility, parse_metric, predicted_utilities, true_utilities
 from rankci.model import LabelScale
-from rankci.synth import SynthConfig, generate
+from rankci.ppi import ppi_ci, ppi_estimate
+from rankci.seeding import child_seed, stream
+from rankci.synth import SynthConfig, bias_dataset, generate, oracle_dataset
 
 DCG = parse_metric("dcg@10")
 
@@ -174,6 +178,72 @@ def test_per_query_rows_shrink_to_zero_width_at_full_oracle_strength():
     rows = per_query_rows(ds, DCG, tau_grid=(1.0,), alpha=0.05, split_seed=11)
     assert all(r["high"] - r["low"] == pytest.approx(0.0, abs=1e-9) for r in rows)
     assert all(r["covered"] == 1 for r in rows)
+
+
+# --- sweeps on views agree with sweeps on transformed datasets ---------------------
+
+
+def _dataset_level_rows(ds, spec, *, n_grid, beta_grid, tau_grid, repeats, alpha, num_batches,
+                        seed, split_seed):
+    """The sweep's rows, built the long way: a transformed Dataset per
+    (beta, tau) through bias_dataset/oracle_dataset, utilities through the
+    dict helpers, and crc through the public calibrate/crc_ci."""
+    pool = ds.labeled_queries()
+    validation, test = halve_pool(pool, split_seed)
+    true_u = true_utilities(spec, ds, pool)
+    truth = dataset_utility(spec, test, true_u)
+    points = [(n, b, t) for n in n_grid for b in beta_grid for t in tau_grid]
+    rows = []
+    for pi, (n, beta, tau) in enumerate(points):
+        ds_t = oracle_dataset(bias_dataset(ds, beta), tau)
+        pred_u = predicted_utilities(spec, ds_t, pool)
+        for rep in range(repeats):
+            base = {"n": n, "beta": beta, "tau": tau, "repeat": rep, "truth": truth}
+            rng = stream(seed, pi, rep, 0)
+            labeled = sorted(rng.choice(np.array(validation), size=n, replace=False).tolist())
+            labeled_true = [true_u[q] for q in labeled]
+            cis = {
+                "bootstrap": bootstrap_ci(labeled_true, alpha, resamples=num_batches,
+                                          seed=child_seed(seed, pi, rep, 1)),
+                "ppi": ppi_ci(ppi_estimate(labeled_true, [pred_u[q] for q in labeled],
+                                           [pred_u[q] for q in pool]), alpha),
+            }
+            batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
+                                    seed=child_seed(seed, pi, rep, 2))
+            cis["crc"] = crc_ci(spec, test, ds_t, calibrate(spec, batches, ds_t, alpha))
+            for method, ci in cis.items():
+                rows.append({**base, "method": method, "width": ci.width,
+                             "covered": int(ci.lower <= truth <= ci.upper),
+                             "low": ci.lower, "high": ci.upper, "status": "ok"})
+    rows.sort(key=lambda r: (r["method"], r["n"], r["beta"], r["tau"], r["repeat"]))
+    return rows
+
+
+def test_sweep_rows_equal_rows_from_transformed_datasets():
+    ds = _dataset(queries=60, docs=12, seed=4)
+    grid = dict(n_grid=(12, 20), beta_grid=(0.0, 0.5, 1.0), tau_grid=(0.0, 0.5, 1.0),
+                repeats=2, alpha=0.1, num_batches=100, seed=3, split_seed=11)
+    rows = sweep(ds, DCG, methods=("bootstrap", "ppi", "crc"), **grid)
+    assert {r["status"] for r in rows} == {"ok"}
+    assert rows == _dataset_level_rows(ds, DCG, **grid)
+
+
+def test_per_query_rows_equal_rows_from_transformed_datasets():
+    ds = _dataset(queries=60, docs=12, seed=4)
+    pool = ds.labeled_queries()
+    validation, test = halve_pool(pool, 11)
+    true_u = true_utilities(DCG, ds, pool)
+    expected = []
+    for tau in (0.0, 0.5, 1.0):
+        ds_t = oracle_dataset(ds, tau)
+        pred_u = predicted_utilities(DCG, ds_t, pool)
+        cal = calibrate(DCG, build_batches(validation, mode="per_query"), ds_t, 0.1)
+        for q in sorted(test, key=lambda q: (-true_u[q], q)):
+            ci = crc_ci(DCG, [q], ds_t, cal)
+            expected.append({"tau": tau, "query_id": q, "low": ci.lower, "high": ci.upper,
+                             "truth": true_u[q], "predicted": pred_u[q],
+                             "covered": int(ci.lower <= true_u[q] <= ci.upper)})
+    assert per_query_rows(ds, DCG, tau_grid=(0.0, 0.5, 1.0), alpha=0.1) == expected
 
 
 # --- plans ---------------------------------------------------------------------------

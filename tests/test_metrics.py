@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankci.errors import EmptyQuerySetError, MissingDistributionError, UnlabeledQueryError
 from rankci.metrics import (
     MetricSpec,
+    UtilityView,
     dataset_utility,
     expected_gain,
     format_metric,
@@ -185,3 +189,80 @@ def test_utilities_default_query_selection():
     assert set(true_utilities(spec, ds)) == {"q1"}
     assert set(predicted_utilities(spec, ds)) == {"q1"}
     assert true_utilities(spec, ds)["q1"] == pytest.approx(8.5)
+
+
+# --- the dense top-K view, against a per-document reference ---------------------
+
+
+@st.composite
+def partly_judged(draw):
+    """Queries with rankings of 1-12 documents (often shorter than the
+    cutoff) on a 0-3 scale, each document judged with probability 3/4."""
+    spec = MetricSpec(draw(st.sampled_from(["dcg", "precision"])), draw(st.integers(1, 10)),
+                      draw(st.sampled_from(["identity", "exponential"])))
+    rankings, truth, predicted = {}, {}, {}
+    for qi in range(draw(st.integers(1, 6))):
+        qid = f"q{qi}"
+        docs = tuple(f"d{j}" for j in range(draw(st.integers(1, 12))))
+        rankings[qid] = RankedList(qid, docs)
+        for doc in docs:
+            if draw(st.integers(0, 3)):
+                truth[(qid, doc)] = Judgment(draw(st.integers(0, 3)))
+            raw = draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+            predicted[(qid, doc)] = RelevanceDistribution(tuple(p / sum(raw) for p in raw))
+    return spec, Dataset(LabelScale(3), rankings, truth, predicted)
+
+
+def _reference(spec, ds, qid):
+    """(true utility or None when a top-K document is unjudged, predicted
+    utility), one document at a time."""
+    true_total, pred_total = 0.0, 0.0
+    for rank, doc in enumerate(ds.rankings[qid].doc_ids[: spec.cutoff_k], start=1):
+        w = rank_weight(spec, rank)
+        judgment = ds.truth.get((qid, doc))
+        if judgment is None or true_total is None:
+            true_total = None
+        else:
+            true_total += w * gain(spec, judgment.label)
+        probs = ds.predicted[(qid, doc)].probs
+        pred_total += w * sum(p * gain(spec, r) for r, p in enumerate(probs))
+    return true_total, pred_total
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=partly_judged())
+def test_view_utilities_equal_a_per_document_reference(data):
+    spec, ds = data
+    qs = ds.queries()
+    ref = {q: _reference(spec, ds, q) for q in qs}
+    view = UtilityView(spec, ds, qs)
+    assert view.predicted_utilities().tolist() == [ref[q][1] for q in qs]
+    assert predicted_utilities(spec, ds) == {q: ref[q][1] for q in qs}
+    for q in qs:
+        assert query_utility_predicted(spec, ds.rankings[q], ds.predicted) == ref[q][1]
+        if ref[q][0] is None:
+            with pytest.raises(UnlabeledQueryError, match=f"query '{q}'"):
+                query_utility_true(spec, ds.rankings[q], ds.truth)
+        else:
+            assert query_utility_true(spec, ds.rankings[q], ds.truth) == ref[q][0]
+    judged = [q for q in qs if ref[q][0] is not None]
+    assert true_utilities(spec, ds, judged) == {q: ref[q][0] for q in judged}
+    # A subset in another order, with a repeat, reads the same rows.
+    picked = judged[::-1] + judged[:1]
+    sub = view.subset(picked)
+    assert sub.true_utilities().tolist() == [ref[q][0] for q in picked]
+    assert sub.predicted_utilities().tolist() == [ref[q][1] for q in picked]
+    if len(judged) < len(qs):
+        with pytest.raises(UnlabeledQueryError):
+            view.true_utilities()
+
+
+def test_view_without_predictions_reads_truth_only():
+    ds = _dataset_for_worked_example()
+    bare = Dataset(ds.scale, ds.rankings, ds.truth, {})
+    view = UtilityView(parse_metric("dcg@10"), bare, ["q1"], predictions=False)
+    assert view.probs is None
+    assert view.true_utilities().tolist() == [8.5]
+    with pytest.raises(MissingDistributionError, match="rank 1"):
+        UtilityView(parse_metric("dcg@10"), bare, ["q1"])
+    assert np.array_equal(view.segments, [0, 0, 0]) and view.starts.tolist() == [0, 3]

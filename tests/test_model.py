@@ -99,6 +99,28 @@ def test_dataset_query_views():
     assert ds.labeled_queries() == ["q1"]
 
 
+def test_labeled_queries_ignore_judgments_outside_the_ranking():
+    ds = _tiny_dataset()
+    rankings = {**ds.rankings, "q3": RankedList(query_id="q3", doc_ids=("d1", "d2")),
+                "q4": RankedList(query_id="q4", doc_ids=("d5",)),
+                "q6": RankedList(query_id="q6", doc_ids=("d1", "d2", "d3"))}
+    truth = {
+        **ds.truth,
+        # q2 gains a judgment of a document it does not rank: still unlabeled
+        ("q2", "d9"): Judgment(1),
+        # q3 has every ranked document judged, plus one it does not rank
+        ("q3", "d1"): Judgment(0), ("q3", "d2"): Judgment(1), ("q3", "d7"): Judgment(2),
+        # a query with judgments but no ranking at all
+        ("q5", "d1"): Judgment(1),
+        # q4 has no judgment at all; q6 misses only its last document
+        ("q6", "d1"): Judgment(1), ("q6", "d2"): Judgment(0),
+    }
+    ds = Dataset(scale=ds.scale, rankings=rankings, truth=truth, predicted=ds.predicted)
+    assert ds.labeled_queries() == ["q1", "q3"]
+    assert ds.labeled_queries() == [q for q in ds.queries() if ds.is_labeled(q)]
+    assert Dataset(scale=ds.scale, rankings=rankings).labeled_queries() == []
+
+
 def test_validate_dataset_clean():
     assert validate_dataset(_tiny_dataset()) == []
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankci.errors import UnlabeledQueryError
 from rankci.model import Dataset, LabelScale, RelevanceDistribution
@@ -12,9 +14,13 @@ from rankci.synth import (
     apply_bias,
     apply_oracle,
     bias_dataset,
+    bias_probs,
     generate,
     oracle_dataset,
+    oracle_probs,
 )
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def _config(**overrides):
@@ -172,3 +178,68 @@ def test_oracle_dataset_at_full_strength_matches_one_hot_truth():
     out = oracle_dataset(ds, 1.0)
     for key, judgment in ds.truth.items():
         assert out.predicted[key].probs[judgment.label] == pytest.approx(1.0, abs=1e-15)
+
+
+# --- the array transforms, against plain-float formulas -----------------------------
+
+
+@st.composite
+def prob_stacks(draw):
+    """A (rows, labels) stack of probability vectors, some entries exactly
+    zero, and a true label per row."""
+    n_labels, n_rows = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((n_rows, n_labels)) * (rng.random((n_rows, n_labels)) > 0.2)
+    raw[:, 0] += raw.sum(axis=1) == 0.0
+    probs = [[p / sum(row) for p in row] for row in raw.tolist()]
+    return probs, rng.integers(0, n_labels, size=n_rows).tolist()
+
+
+def _bias_reference(row, beta):
+    if beta == 0.0:
+        return list(row)
+    mixed = [(1.0 - beta) * p + beta * (1.0 - p) for p in row]
+    total = sum(mixed)
+    return [m / total for m in mixed]
+
+
+def _oracle_reference(row, label, tau):
+    return [(1.0 - tau) * p + (tau if r == label else 0.0) for r, p in enumerate(row)]
+
+
+@PROPERTY
+@given(stack=prob_stacks(), beta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_bias_probs_is_bit_equal_to_the_plain_formula(stack, beta):
+    probs, _ = stack
+    out = bias_probs(np.array(probs), beta)
+    assert out.tolist() == [_bias_reference(row, beta) for row in probs]
+    assert [list(apply_bias(RelevanceDistribution(row), beta).probs) for row in probs] == out.tolist()
+
+
+@PROPERTY
+@given(stack=prob_stacks(), tau=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_oracle_probs_is_bit_equal_to_the_plain_formula(stack, tau):
+    probs, labels = stack
+    out = oracle_probs(np.array(probs), np.array(labels), tau)
+    assert out.tolist() == [_oracle_reference(row, y, tau) for row, y in zip(probs, labels)]
+    assert [list(apply_oracle(RelevanceDistribution(row), y, tau).probs)
+            for row, y in zip(probs, labels)] == out.tolist()
+
+
+def test_array_transforms_work_over_any_leading_shape():
+    ds = generate(_config())
+    probs = np.array([d.probs for d in ds.predicted.values()]).reshape(20, 10, 3)
+    labels = np.array([ds.truth[k].label for k in ds.predicted]).reshape(20, 10)
+    flat = oracle_probs(bias_probs(probs.reshape(200, 3), 0.3), labels.ravel(), 0.6)
+    assert (oracle_probs(bias_probs(probs, 0.3), labels, 0.6).reshape(200, 3) == flat).all()
+
+
+def test_oracle_probs_refuses_unjudged_and_off_scale_labels():
+    probs = np.array([[0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(UnlabeledQueryError):
+        oracle_probs(probs, np.array([0, -1]), 0.5)
+    with pytest.raises(ValueError):
+        oracle_probs(probs, np.array([0, 2]), 0.5)
+    assert oracle_probs(probs, np.array([0, -1]), 0.0) is probs
+    with pytest.raises(ValueError):
+        bias_probs(probs, 1.5)
