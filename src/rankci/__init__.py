@@ -26,7 +26,6 @@ from .crc import (
     calibrate,
     calibration_threshold,
     crc_ci,
-    interval,
     mu_crc,
     perturb_distribution,
     required_batches,
@@ -116,7 +115,6 @@ __all__ = [
     "gain",
     "generate",
     "infer_scale_from_dists",
-    "interval",
     "mu_crc",
     "oracle_dataset",
     "parse_dists",

@@ -30,7 +30,8 @@ from pathlib import Path
 
 from .bootstrap import bootstrap_ci
 from .corpus import build_dataset, infer_scale_from_dists, parse_qrels, parse_run
-from .crc import CrcCalibration, build_batches, calibrate, crc_ci
+from .crc import (CrcCalibration, _per_query_bounds, _UtilityEngine, build_batches, calibrate,
+                  crc_ci)
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
 from .harness import (
     PLAN_KEYS,
@@ -46,6 +47,7 @@ from .harness import (
     write_csv,
 )
 from .metrics import (
+    MetricSpec,
     dataset_utility,
     format_metric,
     parse_metric,
@@ -117,25 +119,22 @@ def _load_dataset(run_path: str, dists_path: str | None, qrels_path: str | None,
         dists_text = _read(dists_path)
         scale = LabelScale(max_label) if max_label is not None else infer_scale_from_dists(dists_text)
         qrels_text = _read(qrels_path) if qrels_path is not None else None
-        return build_dataset(run_text, dists_text, qrels_text=qrels_text, scale=scale)
-    # No distributions: judgments only (enough for the bootstrap method).
-    qrels_text = _read(qrels_path) if qrels_path is not None else ""
-    scale = LabelScale(max_label) if max_label is not None else _scale_from_qrels_text(qrels_text)
-    rankings = parse_run(run_text)
-    truth = parse_qrels(qrels_text, scale)
-    return Dataset(scale=scale, rankings=rankings, truth=truth, predicted={})
-
-
-def _check_dataset(dataset: Dataset, *, require_dists: bool) -> None:
-    problems = validate_dataset(dataset)
-    if not require_dists:
-        problems = [p for p in problems if "no predicted distribution" not in p]
+        dataset = build_dataset(run_text, dists_text, qrels_text=qrels_text, scale=scale)
+    else:
+        # No distributions: judgments only (enough for the bootstrap method).
+        qrels_text = _read(qrels_path) if qrels_path is not None else ""
+        scale = LabelScale(max_label) if max_label is not None else _scale_from_qrels_text(qrels_text)
+        rankings = parse_run(run_text)
+        truth = parse_qrels(qrels_text, scale)
+        dataset = Dataset(scale=scale, rankings=rankings, truth=truth, predicted={})
+    problems = validate_dataset(dataset, require_dists=dists_path is not None)
     if problems:
         for p in problems[:20]:
             print(f"dataset error: {p}", file=sys.stderr)
         if len(problems) > 20:
             print(f"... and {len(problems) - 20} more", file=sys.stderr)
         raise ParseError(f"{len(problems)} dataset integrity violations")
+    return dataset
 
 
 def _write_out(path: str, payload_rows: list[dict] | None = None, payload_obj=None) -> None:
@@ -168,7 +167,6 @@ def cmd_evaluate(args) -> int:
         raise SystemExit(_usage(args, "evaluate needs --run and --dists"))
 
     dataset = _load_dataset(run_path, dists_path, qrels_path, max_label)
-    _check_dataset(dataset, require_dists=True)
 
     queries = dataset.queries()
     labeled = set(dataset.labeled_queries())
@@ -236,7 +234,6 @@ def cmd_ci(args) -> int:
         raise SystemExit(_usage(args, "ci needs --qrels (or --load-calibration for crc)"))
 
     dataset = _load_dataset(run_path, dists_path, qrels_path, max_label)
-    _check_dataset(dataset, require_dists=dists_path is not None)
 
     queries = dataset.queries()
     labeled = dataset.labeled_queries()
@@ -244,66 +241,58 @@ def cmd_ci(args) -> int:
 
     if method == "bootstrap":
         ci = bootstrap_ci([true_u[q] for q in labeled], alpha, resamples=num_batches, seed=seed)
-        _print_report(ci, format_metric(metric))
-        if out_path is not None:
-            _write_out(out_path, payload_obj=ci.to_dict())
-        return EXIT_OK
-
-    if method == "ppi":
+    elif method == "ppi":
         pred_u = predicted_utilities(metric, dataset, queries)
         est = ppi_estimate([true_u[q] for q in labeled], [pred_u[q] for q in labeled],
                            [pred_u[q] for q in queries])
         ci = ppi_ci(est, alpha)
-        _print_report(ci, format_metric(metric))
-        if out_path is not None:
-            _write_out(out_path, payload_obj=ci.to_dict())
-        return EXIT_OK
-
-    # crc: calibrate on the labeled queries (or load a saved calibration),
-    # then report the interval over all queries.
-    if args.load_calibration is not None:
-        try:
-            cal = CrcCalibration.from_text(_read(args.load_calibration))
-        except ValueError as e:
-            raise ParseError(f"{args.load_calibration}: {e}") from None
-        cal.check_applies(metric, dataset.scale)
     else:
-        if per_query:
-            batches = build_batches(labeled, mode="per_query")
+        # crc: calibrate on the labeled queries (or load a saved calibration),
+        # then report the interval over all queries.
+        if args.load_calibration is not None:
+            try:
+                cal = CrcCalibration.from_text(_read(args.load_calibration))
+            except ValueError as e:
+                raise ParseError(f"{args.load_calibration}: {e}") from None
+            cal.check_applies(metric, dataset.scale)
         else:
-            batches = build_batches(labeled, mode="bootstrap", num_batches=num_batches,
-                                    batch_size=batch_size, seed=seed)
-        cal = calibrate(metric, batches, dataset, alpha)
-    if args.save_calibration is not None:
-        Path(args.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
+            if per_query:
+                batches = build_batches(labeled, mode="per_query")
+            else:
+                batches = build_batches(labeled, mode="bootstrap", num_batches=num_batches,
+                                        batch_size=batch_size, seed=seed)
+            cal = calibrate(metric, batches, dataset, alpha)
+        if args.save_calibration is not None:
+            Path(args.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
+        if per_query:
+            return _per_query_report(metric, dataset, cal, alpha, true_u, out_path)
+        ci = crc_ci(metric, queries, dataset, cal)
 
-    if per_query:
-        labeled_set = set(labeled)
-        rows = []
-        for q in queries:
-            ci = crc_ci(metric, [q], dataset, cal)
-            rows.append({
-                "query_id": q,
-                "low": ci.lower,
-                "high": ci.upper,
-                "predicted": ci.estimate,
-                "true": true_u[q] if q in labeled_set else "",
-            })
-        print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {alpha}")
-        print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
-        print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")
-        for row in rows:
-            true_s = f"{row['true']:.6f}" if row["true"] != "" else "-"
-            print(f"{row['query_id']:<24} {row['low']:>12.6f} {row['high']:>12.6f} "
-                  f"{row['predicted']:>12.6f} {true_s:>12}")
-        if out_path is not None:
-            _write_out(out_path, payload_rows=rows)
-        return EXIT_OK
-
-    ci = crc_ci(metric, queries, dataset, cal)
     _print_report(ci, format_metric(metric))
     if out_path is not None:
         _write_out(out_path, payload_obj=ci.to_dict())
+    return EXIT_OK
+
+
+def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration, alpha: float,
+                      true_u: dict[str, float], out_path: str | None) -> int:
+    """One crc interval per query, all read from a single view of the dataset."""
+    queries = dataset.queries()
+    view = _UtilityEngine(metric, dataset, queries)
+    bounds = zip(*(u.tolist() for u in _per_query_bounds(view, cal)))
+    rows = []
+    for q, (lo, hi), est in zip(queries, bounds, view.per_query_utility(0.0).tolist()):
+        rows.append({"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
+                     "true": true_u.get(q, "")})
+    print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {alpha}")
+    print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
+    print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")
+    for row in rows:
+        true_s = f"{row['true']:.6f}" if row["true"] != "" else "-"
+        print(f"{row['query_id']:<24} {row['low']:>12.6f} {row['high']:>12.6f} "
+              f"{row['predicted']:>12.6f} {true_s:>12}")
+    if out_path is not None:
+        _write_out(out_path, payload_rows=rows)
     return EXIT_OK
 
 

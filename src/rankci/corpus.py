@@ -119,11 +119,10 @@ def write_qrels(truth: Mapping[tuple[str, str], Judgment]) -> str:
 # ---------------------------------------------------------------------------
 # predicted-distribution files
 
-PROB_LINE_SUM_TOL = 1e-6
-
 
 def parse_dists(text: str, scale: LabelScale) -> dict[tuple[str, str], RelevanceDistribution]:
-    """Parse predicted label distributions, validating each line's vector."""
+    """Parse predicted label distributions, validating each line's vector as
+    :meth:`RelevanceDistribution.violations` does."""
     predicted: dict[tuple[str, str], RelevanceDistribution] = {}
     for lineno, line in _lines(text):
         try:
@@ -144,16 +143,15 @@ def parse_dists(text: str, scale: LabelScale) -> dict[tuple[str, str], Relevance
                 line=lineno,
             )
         try:
-            vec = [float(p) for p in probs]
+            dist = RelevanceDistribution(probs)
         except (TypeError, ValueError):
             raise ParseError("probs entries must be numbers", line=lineno) from None
-        if any(not 0.0 <= p <= 1.0 for p in vec):
-            raise ParseError("probs entries must lie in [0, 1]", line=lineno)
-        if abs(sum(vec) - 1.0) > PROB_LINE_SUM_TOL:
-            raise ParseError(f"probs sum {sum(vec)!r} != 1", line=lineno)
+        problems = dist.violations()
+        if problems:
+            raise ParseError(problems[0], line=lineno)
         if (qid, docid) in predicted:
             raise ParseError(f"duplicate distribution for query {qid!r} doc {docid!r}", line=lineno)
-        predicted[(qid, docid)] = RelevanceDistribution(tuple(vec))
+        predicted[(qid, docid)] = dist
     return predicted
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,6 +57,8 @@ CalibrationBatch = tuple[str, ...]
 
 # Representable ends of the open strength interval (-1, 1).
 _LAM_EDGE = 1.0 - 1e-9
+# Width to which calibration brackets each strength.
+_TOL = 1e-6
 
 
 def _check_lambda(lam: float) -> float:
@@ -139,32 +141,6 @@ def utility_crc(spec: MetricSpec, queries: Iterable[str], dataset: Dataset, lam:
     if not qs:
         raise EmptyQuerySetError("perturbed utility over an empty query set")
     return float(_UtilityEngine(spec, dataset, qs).per_query_utility(lam).mean())
-
-
-def interval(
-    spec: MetricSpec,
-    queries: Iterable[str],
-    dataset: Dataset,
-    lam_low: float,
-    lam_high: float,
-) -> tuple[float, float]:
-    """The pair (utility at lam_low, utility at lam_high).
-
-    Requires lam_low < lam_high; monotonicity of the perturbed utility then
-    makes this an ordered interval.
-    """
-    lam_low = _check_lambda(lam_low)
-    lam_high = _check_lambda(lam_high)
-    if not lam_low < lam_high:
-        raise ValueError(f"lam_low must be < lam_high, got {lam_low} >= {lam_high}")
-    qs = list(queries)
-    if not qs:
-        raise EmptyQuerySetError("interval over an empty query set")
-    engine = _UtilityEngine(spec, dataset, qs)
-    return (
-        float(engine.per_query_utility(lam_low).mean()),
-        float(engine.per_query_utility(lam_high).mean()),
-    )
 
 
 class CalibrationBatches(Sequence[CalibrationBatch]):
@@ -306,19 +282,7 @@ class CrcCalibration:
                 )
 
     def to_text(self) -> str:
-        return json.dumps(
-            {
-                "lambda_low": self.lambda_low,
-                "lambda_high": self.lambda_high,
-                "alpha": self.alpha,
-                "num_batches": self.num_batches,
-                "achieved_loss_low": self.achieved_loss_low,
-                "achieved_loss_high": self.achieved_loss_high,
-                "metric": self.metric,
-                "max_label": self.max_label,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_text(cls, text: str) -> "CrcCalibration":
@@ -348,47 +312,29 @@ class CrcCalibration:
             )
 
 
-def _search_smallest(pred, tol: float) -> float:
+def _search_smallest(pred, bound: str) -> float:
     """Smallest strength in (-1, 1) satisfying a monotone predicate.
 
     ``pred(lam)`` must be False-then-True as lam increases.  Returns a probed
-    satisfying value at most ``tol`` above the boundary (conservative: never
-    below it).  Raises if even the top of the interval fails.
+    satisfying value at most ``_TOL`` above the boundary (conservative: never
+    below it).  Raises, naming the ``bound`` of strengths searched, if even
+    the top of the interval fails.
     """
     hi = _LAM_EDGE
     if not pred(hi):
         raise CalibrationInfeasibleError(
-            "no perturbation strength below 1 satisfies the risk bound"
+            f"no perturbation strength {bound} satisfies the risk bound"
         )
     lo = -_LAM_EDGE
     if pred(lo):
         return lo  # the whole interval satisfies the bound
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if pred(mid):
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _search_largest(pred, tol: float) -> float:
-    """Mirror of :func:`_search_smallest`: True-then-False as lam increases."""
-    lo = -_LAM_EDGE
-    if not pred(lo):
-        raise CalibrationInfeasibleError(
-            "no perturbation strength above -1 satisfies the risk bound"
-        )
-    hi = _LAM_EDGE
-    if pred(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _batch_means(index: np.ndarray, sizes: np.ndarray, n_queries: int):
@@ -448,15 +394,13 @@ def calibrate(
     batches: Iterable[Iterable[str]],
     dataset: Dataset,
     alpha: float,
-    *,
-    tol: float = 1e-6,
 ) -> CrcCalibration:
     """Calibrate the perturbation-strength pair on labeled batches.
 
     lambda_high is the smallest strength whose fraction of batches with
     perturbed utility *below* the true batch utility stays under the risk
     threshold; lambda_low mirrors it on the other side.  Both are found by
-    binary search to ``tol`` and rounded conservatively (lambda_high up,
+    binary search to 1e-6 and rounded conservatively (lambda_high up,
     lambda_low down).  If the searches cross, lambda_low is nudged just under
     lambda_high.
 
@@ -472,15 +416,13 @@ def calibrate(
     for q in batches.pool:
         if q not in dataset.rankings:
             raise UnlabeledQueryError(f"calibration batch names unknown query {q!r}")
-    return _calibrate(batches, _UtilityEngine(spec, dataset, batches.pool), alpha, tol=tol)
+    return _calibrate(batches, _UtilityEngine(spec, dataset, batches.pool), alpha)
 
 
 def _calibrate(
     batches: Iterable[Iterable[str]],
     view: _UtilityEngine,
     alpha: float,
-    *,
-    tol: float = 1e-6,
 ) -> CrcCalibration:
     """:func:`calibrate` on a view that holds at least every query the
     batches draw, stamped with the view's metric and label scale."""
@@ -502,8 +444,11 @@ def _calibrate(
     def loss_low(lam: float) -> float:
         return float(np.mean(batch_mean(engine.per_query_utility(lam)) > batch_true))
 
-    lam_high = _search_smallest(lambda l: loss_high(l) < thr, tol)
-    lam_low = _search_largest(lambda l: loss_low(l) < thr, tol)
+    lam_high = _search_smallest(lambda l: loss_high(l) < thr, "below 1")
+    # lambda_low is the mirror image: the largest strength whose low-side
+    # loss is under the threshold, found as the negated smallest -lambda
+    # (subtracted from 0.0, so a zero strength stays +0.0).
+    lam_low = 0.0 - _search_smallest(lambda m: loss_low(-m) < thr, "above -1")
     if lam_low >= lam_high:
         # Degenerate data (e.g. predictions exactly matching truth) can leave
         # both searches unconstrained; keep an ordered pair just under the
@@ -543,10 +488,16 @@ def crc_ci(
     return _crc_ci(_UtilityEngine(spec, dataset, qs), calibration)
 
 
+def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
+    """Perturbed utilities of every query of a view at lambda_low and at
+    lambda_high, as two arrays in query_ids order."""
+    return (view.per_query_utility(calibration.lambda_low),
+            view.per_query_utility(calibration.lambda_high))
+
+
 def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
     """:func:`crc_ci` over every query of a view, without the stamp check."""
-    lo = float(view.per_query_utility(calibration.lambda_low).mean())
-    hi = float(view.per_query_utility(calibration.lambda_high).mean())
+    lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
     est = float(view.per_query_utility(0.0).mean())
     return CiReport(
         method="crc",

@@ -44,7 +44,8 @@ from .corpus import build_dataset
 # The sweep works on views, so calibrate, crc_ci, true_utilities,
 # predicted_utilities, bias_dataset and oracle_dataset are not called here;
 # they stay bound because bench/tracing.py patches them on this module.
-from .crc import _calibrate, _crc_ci, _UtilityEngine, build_batches, calibrate, crc_ci
+from .crc import (_calibrate, _crc_ci, _per_query_bounds, _UtilityEngine, build_batches,
+                  calibrate, crc_ci)
 from .errors import CalibrationInfeasibleError
 from .metrics import (
     MetricSpec,
@@ -280,17 +281,19 @@ def per_query_rows(
     view = _UtilityEngine(spec, dataset, pool)
     true_u = dict(zip(pool, view.true_utilities().tolist()))
     batches = build_batches(validation, mode="per_query")
+    ordered = sorted(test, key=lambda q: (-true_u[q], q))
     out = []
     for tau in tau_grid:
         view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
         pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
         cal = _calibrate(batches, view_t, alpha)
-        for q in sorted(test, key=lambda q: (-true_u[q], q)):
-            ci = _crc_ci(view_t.subset([q]), cal)
+        bounds = zip(*(u.tolist() for u in _per_query_bounds(view_t.subset(ordered), cal)))
+        for q, (lo, hi) in zip(ordered, bounds):
+            low, high = min(lo, hi), max(lo, hi)
             out.append({
-                "tau": tau, "query_id": q, "low": ci.lower, "high": ci.upper,
+                "tau": tau, "query_id": q, "low": low, "high": high,
                 "truth": true_u[q], "predicted": pred_u[q],
-                "covered": int(ci.lower <= true_u[q] <= ci.upper),
+                "covered": int(low <= true_u[q] <= high),
             })
     return out
 

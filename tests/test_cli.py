@@ -16,8 +16,11 @@ import pytest
 
 import rankci
 from rankci.cli import harness_main, main
-from rankci.corpus import write_dists, write_qrels, write_run
+from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
+from rankci.crc import CrcCalibration, crc_ci
+from rankci.errors import ParseError
 from rankci.harness import ROW_FIELDS, load_plan, sweep, write_csv
+from rankci.metrics import parse_metric
 from rankci.model import LabelScale
 from rankci.synth import SynthConfig, generate
 
@@ -209,6 +212,54 @@ def test_ci_crc_per_query_needs_enough_singleton_batches(labeled_corpus, capsys)
          "--alpha", "0.01"], capsys)
     assert code == 3
     assert "calibration infeasible" in err
+
+
+def test_ci_crc_per_query_rows_equal_one_query_intervals(labeled_corpus, tmp_path, capsys):
+    out_path, cal_path = tmp_path / "per_query.csv", tmp_path / "cal.json"
+    code, _, _ = _run_main(
+        ["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+         "--dists", labeled_corpus["dists"], "--method", "crc", "--per-query",
+         "--save-calibration", str(cal_path), "--out", str(out_path)], capsys)
+    assert code == 0
+    ds = build_dataset(*(Path(labeled_corpus[k]).read_text(encoding="utf-8")
+                         for k in ("run", "dists", "qrels")))
+    cal = CrcCalibration.from_text(cal_path.read_text(encoding="utf-8"))
+    metric = parse_metric("dcg@10")
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["query_id"] for row in rows] == ds.queries()
+    for row in rows:
+        ci = crc_ci(metric, [row["query_id"]], ds, cal)
+        assert (float(row["low"]), float(row["high"]), float(row["predicted"])) == (
+            ci.lower, ci.upper, ci.estimate)
+
+
+def _with_dists_off_by(corpus, tmp_path, error):
+    """The corpus with its second distribution line's probs summing to 1 + error."""
+    lines = Path(corpus["dists"]).read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    probs = obj["probs"]
+    low = probs.index(min(probs))  # far enough from 1 to stay in [0, 1]
+    probs[low] = 1.0 + error - sum(p for i, p in enumerate(probs) if i != low)
+    lines[1] = json.dumps(obj)
+    dists = tmp_path / "off.jsonl"
+    dists.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {**corpus, "dists": str(dists)}
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["ci", "--method", "ppi"]])
+def test_every_entry_point_allows_a_dists_sum_error_of_1e_6(labeled_corpus, tmp_path, capsys,
+                                                            command):
+    for error, code in ((5e-7, 0), (5e-6, 2)):
+        corpus = _with_dists_off_by(labeled_corpus, tmp_path, error)
+        files = ["--run", corpus["run"], "--qrels", corpus["qrels"], "--dists", corpus["dists"]]
+        got, _, err = _run_main([*command, *files], capsys)
+        assert got == code, err
+        if code:
+            assert "line 2" in err and "sum" in err
+            with pytest.raises(ParseError, match="line 2"):
+                build_dataset(*(Path(corpus[k]).read_text(encoding="utf-8")
+                                for k in ("run", "dists", "qrels")))
 
 
 def _load_calibration(corpus, cal_path, capsys, *extra):

@@ -14,7 +14,6 @@ from rankci.crc import (
     calibrate,
     calibration_threshold,
     crc_ci,
-    interval,
     mu_crc,
     perturb_distribution,
     required_batches,
@@ -145,17 +144,6 @@ def test_utility_crc_counts_duplicate_queries_twice():
     u = utility_crc(DCG, [a, a, b], ds, 0.0)
     pred_u = predicted_utilities(DCG, ds, [a, b])
     assert u == pytest.approx((2 * pred_u[a] + pred_u[b]) / 3.0, abs=1e-12)
-
-
-def test_interval_orders_and_validates():
-    ds = _synth()
-    qs = ds.queries()[:5]
-    lo, hi = interval(DCG, qs, ds, -0.5, 0.5)
-    assert lo <= hi
-    with pytest.raises(ValueError):
-        interval(DCG, qs, ds, 0.5, -0.5)
-    with pytest.raises(EmptyQuerySetError):
-        interval(DCG, [], ds, -0.5, 0.5)
 
 
 # --- batches -------------------------------------------------------------------

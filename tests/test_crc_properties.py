@@ -6,7 +6,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankci.crc import _UtilityEngine, build_batches, calibrate, utility_crc
+from rankci.crc import (
+    _LAM_EDGE,
+    _TOL,
+    _UtilityEngine,
+    build_batches,
+    calibrate,
+    calibration_threshold,
+    utility_crc,
+)
 from rankci.errors import CalibrationInfeasibleError
 from rankci.metrics import MetricSpec, query_utility_true
 from rankci.model import LabelScale
@@ -61,14 +69,26 @@ def test_achieved_losses_match_a_per_batch_recount(data, num_batches, batch_size
     if ragged:
         batches = [b[: 1 + i % len(b)] for i, b in enumerate(batches)]
     cal = _calibrate_or_reject(spec, batches, ds, 0.1)
-    below = above = 0
-    for batch in batches:
-        true_mean = float(np.mean([query_utility_true(spec, ds.rankings[q], ds.truth)
-                                   for q in batch]))
-        below += utility_crc(spec, batch, ds, cal.lambda_high) < true_mean
-        above += utility_crc(spec, batch, ds, cal.lambda_low) > true_mean
-    assert below / len(batches) == cal.achieved_loss_high
-    assert above / len(batches) == cal.achieved_loss_low
+    true_means = [float(np.mean([query_utility_true(spec, ds.rankings[q], ds.truth)
+                                 for q in batch])) for batch in batches]
+
+    def losses(lam):
+        """(high-side, low-side) loss at ``lam``, recounted batch by batch."""
+        utils = [utility_crc(spec, batch, ds, lam) for batch in batches]
+        return (sum(u < t for u, t in zip(utils, true_means)) / len(batches),
+                sum(u > t for u, t in zip(utils, true_means)) / len(batches))
+
+    assert losses(cal.lambda_high)[0] == cal.achieved_loss_high
+    assert losses(cal.lambda_low)[1] == cal.achieved_loss_low
+    # Tight as well as sound: one search tolerance less strength breaks the
+    # bound, except where a search stopped at an edge or lambda_low was
+    # nudged under lambda_high.
+    thr = calibration_threshold(0.1, len(batches))
+    if cal.lambda_high > -_LAM_EDGE:
+        assert losses(max(cal.lambda_high - _TOL, -_LAM_EDGE))[0] >= thr
+    nudged = cal.lambda_high == -_LAM_EDGE or cal.lambda_high - cal.lambda_low <= 2e-9
+    if cal.lambda_low < _LAM_EDGE and not nudged:
+        assert losses(min(cal.lambda_low + _TOL, _LAM_EDGE))[1] >= thr
 
 
 @PROPERTY

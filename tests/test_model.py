@@ -152,6 +152,27 @@ def test_validate_dataset_reports_each_problem():
     assert any("query_id" in p for p in validate_dataset(broken))
 
 
+def test_validate_dataset_requires_distributions_only_when_asked():
+    ds = _tiny_dataset()
+    predicted = dict(ds.predicted)
+    del predicted[("q2", "d1")]
+    predicted[("q1", "d2")] = RelevanceDistribution((0.8, 0.1, 0.2))  # sums to 1.1
+    truth = {**ds.truth, ("q1", "d1"): Judgment(5)}
+    broken = Dataset(scale=ds.scale, rankings=ds.rankings, truth=truth, predicted=predicted)
+    required = validate_dataset(broken)
+    assert required == validate_dataset(broken, require_dists=True)
+    optional = validate_dataset(broken, require_dists=False)
+    assert [p for p in required if "no predicted distribution" in p] == [
+        "query 'q2' doc 'd1': no predicted distribution"]
+    assert optional == [p for p in required if "no predicted distribution" not in p]
+    assert any("sum" in p for p in optional) and any("exceeds max_label" in p for p in optional)
+
+
+def test_distribution_sums_within_1e_6_of_one_are_valid():
+    assert RelevanceDistribution((0.5, 0.5 + 5e-7)).is_valid()
+    assert not RelevanceDistribution((0.5, 0.5 + 5e-6)).is_valid()
+
+
 def test_empty_dataset_is_valid():
     assert validate_dataset(Dataset(scale=LabelScale(1))) == []
 
