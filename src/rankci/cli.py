@@ -265,7 +265,7 @@ def cmd_ci(args) -> int:
         if args.save_calibration is not None:
             Path(args.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
         if per_query:
-            return _per_query_report(metric, dataset, cal, alpha, true_u, out_path)
+            return _per_query_report(metric, dataset, cal, true_u, out_path)
         ci = crc_ci(metric, queries, dataset, cal)
 
     _print_report(ci, format_metric(metric))
@@ -274,7 +274,7 @@ def cmd_ci(args) -> int:
     return EXIT_OK
 
 
-def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration, alpha: float,
+def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
                       true_u: dict[str, float], out_path: str | None) -> int:
     """One crc interval per query, all read from a single view of the dataset."""
     queries = dataset.queries()
@@ -284,7 +284,7 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
     for q, (lo, hi), est in zip(queries, bounds, view.per_query_utility(0.0).tolist()):
         rows.append({"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
                      "true": true_u.get(q, "")})
-    print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {alpha}")
+    print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {cal.alpha}")
     print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
     print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")
     for row in rows:

@@ -18,11 +18,15 @@ most 17 significant digits), so parse -> write -> parse is the identity.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections.abc import Mapping
 
+import numpy as np
+
 from .errors import ParseError
-from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from .model import (Dataset, DistTable, Judgment, LabelScale, RankedList, RelevanceDistribution,
+                    violating_rows)
 
 
 def _lines(text: str):
@@ -120,39 +124,63 @@ def write_qrels(truth: Mapping[tuple[str, str], Judgment]) -> str:
 # predicted-distribution files
 
 
-def parse_dists(text: str, scale: LabelScale) -> dict[tuple[str, str], RelevanceDistribution]:
-    """Parse predicted label distributions, validating each line's vector as
-    :meth:`RelevanceDistribution.violations` does."""
-    predicted: dict[tuple[str, str], RelevanceDistribution] = {}
-    for lineno, line in _lines(text):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("distribution line is not a JSON object", line=lineno)
-        try:
-            qid, docid, probs = obj["qid"], obj["docid"], obj["probs"]
-        except KeyError as e:
-            raise ParseError(f"missing key {e.args[0]!r}", line=lineno) from None
-        if not isinstance(qid, str) or not isinstance(docid, str) or not isinstance(probs, list):
-            raise ParseError("qid/docid must be strings and probs a list", line=lineno)
-        if len(probs) != scale.num_labels:
-            raise ParseError(
-                f"probs has {len(probs)} entries for a scale of {scale.num_labels} labels",
-                line=lineno,
-            )
-        try:
-            dist = RelevanceDistribution(probs)
-        except (TypeError, ValueError):
-            raise ParseError("probs entries must be numbers", line=lineno) from None
-        problems = dist.violations()
-        if problems:
-            raise ParseError(problems[0], line=lineno)
-        if (qid, docid) in predicted:
-            raise ParseError(f"duplicate distribution for query {qid!r} doc {docid!r}", line=lineno)
-        predicted[(qid, docid)] = dist
-    return predicted
+def parse_dists(text: str, scale: LabelScale) -> DistTable:
+    """Parse predicted label distributions into one table.  Each line's
+    structure is checked as it is read; its vector is checked afterwards, as
+    :meth:`RelevanceDistribution.violations` does, for all lines at once.
+    Either way the earliest bad line is the one reported."""
+    scan, width = json.JSONDecoder().scan_once, scale.num_labels
+    rows: dict[tuple[str, str], int] = {}
+    flat: list = []
+    linenos: list[int] = []
+    try:
+        for lineno, line in _lines(text):
+            try:
+                obj, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
+            if end != len(line):
+                try:
+                    json.loads(line)  # names the error as json.loads does
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from None
+            if not isinstance(obj, dict):
+                raise ParseError("distribution line is not a JSON object", line=lineno)
+            try:
+                qid, docid, probs = obj["qid"], obj["docid"], obj["probs"]
+            except KeyError as e:
+                raise ParseError(f"missing key {e.args[0]!r}", line=lineno) from None
+            if not isinstance(qid, str) or not isinstance(docid, str) or not isinstance(probs, list):
+                raise ParseError("qid/docid must be strings and probs a list", line=lineno)
+            if len(probs) != width:
+                raise ParseError(f"probs has {len(probs)} entries for a scale of {width} labels",
+                                 line=lineno)
+            flat.extend(probs)
+            linenos.append(lineno)
+            if (qid, docid) in rows:
+                raise ParseError(f"duplicate distribution for query {qid!r} doc {docid!r}", line=lineno)
+            rows[(qid, docid)] = len(rows)
+    except ParseError:
+        _checked_probs(flat, linenos, width)  # a vector error on an earlier line wins
+        raise
+    return DistTable(rows, _checked_probs(flat, linenos, width))
+
+
+def _checked_probs(flat: list, linenos: list[int], width: int) -> np.ndarray:
+    """``flat`` as a matrix of ``width`` columns, one row per line of
+    ``linenos``; raises for the first line with a non-number or a bad vector."""
+    values: list[float] = []
+    with contextlib.suppress(TypeError, ValueError):
+        values.extend(map(float, flat))  # a failure keeps the entries before it
+    n = len(values) // width
+    probs = np.array(values[: n * width], dtype=float).reshape(n, width)
+    bad = np.flatnonzero(violating_rows(probs))
+    if bad.size:
+        row = int(bad[0])
+        raise ParseError(RelevanceDistribution(probs[row].tolist()).violations()[0], line=linenos[row])
+    if n < len(linenos):
+        raise ParseError("probs entries must be numbers", line=linenos[n])
+    return probs
 
 
 def infer_scale_from_dists(text: str) -> LabelScale:

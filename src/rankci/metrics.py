@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EmptyQuerySetError, MissingDistributionError, UnlabeledQueryError
-from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution, left_sum
 
 KINDS = ("precision", "dcg")
 GAINS = ("identity", "exponential")
@@ -116,17 +116,6 @@ def gain_vector(spec: MetricSpec, scale: LabelScale) -> np.ndarray:
     return out
 
 
-def left_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis term by term from the left, as Python's ``sum``
-    adds a list.  ``numpy.sum`` and ``@`` may group the terms otherwise and
-    move the last bit, so every sum that must match a per-document loop bit
-    for bit goes through here."""
-    total = x[..., 0]
-    for r in range(1, x.shape[-1]):
-        total = total + x[..., r]
-    return total
-
-
 def expected_gain(spec: MetricSpec, dist: RelevanceDistribution) -> float:
     """Expected gain under a predicted label distribution.
 
@@ -154,9 +143,9 @@ class UtilityView:
         self.spec, self.scale = spec, dataset.scale
         self.query_ids = list(query_ids)
         self.rankings = dataset.rankings
-        truth, predicted = dataset.truth, dataset.predicted
+        truth, table = dataset.truth, dataset.predicted
         weights_k = rank_weights(spec)
-        probs: list[tuple[float, ...]] = []
+        rows: list[int] = []
         labels: list[int] = []
         weights: list[float] = []
         counts: list[int] = []
@@ -165,7 +154,7 @@ class UtilityView:
             labels.extend([-1 if j is None else j.label for j in map(truth.get, keys)])
             if predictions:
                 try:
-                    probs.extend([d.probs for d in map(predicted.__getitem__, keys)])
+                    rows.extend(map(table.rows.__getitem__, keys))
                 except KeyError as e:
                     doc = e.args[0][1]
                     raise MissingDistributionError(
@@ -174,9 +163,8 @@ class UtilityView:
                     ) from None
             weights.extend(weights_k[: len(keys)])
             counts.append(len(keys))
-        n_labels = len(probs[0]) if probs else dataset.scale.num_labels
-        self.probs = np.array(probs, dtype=float).reshape(len(probs), n_labels) if predictions else None
-        self.gains = gain_vector(spec, LabelScale(n_labels - 1))
+        self.probs = table.probs[np.array(rows, dtype=np.intp)] if predictions else None
+        self.gains = gain_vector(spec, LabelScale(table.probs.shape[1] - 1))
         self.labels = np.array(labels, dtype=np.intp)
         self.weights = np.array(weights, dtype=float)
         self.starts = np.array([0, *accumulate(counts)], dtype=np.intp)
@@ -232,7 +220,10 @@ class UtilityView:
 
 def _one_query(ranking: RankedList, truth=None, predicted=None) -> Dataset:
     # The view reads the label range from the data, so any scale will do.
-    return Dataset(LabelScale(1), {ranking.query_id: ranking}, truth or {}, predicted or {})
+    # Only the ranking's own distributions are converted, so a call is O(ranking).
+    predicted = predicted or {}
+    own = {k: predicted[k] for d in ranking.doc_ids if (k := (ranking.query_id, d)) in predicted}
+    return Dataset(LabelScale(1), {ranking.query_id: ranking}, truth or {}, own)
 
 
 def query_utility_true(

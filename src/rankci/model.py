@@ -3,9 +3,9 @@ rankings, datasets, splits, and the interval report shared by all estimators.
 
 Design notes
 ------------
-* Every type is a frozen dataclass: construct once, never mutate.  The two
-  mapping-valued fields on :class:`Dataset` are ordinary dicts for speed;
-  treat them as read-only.
+* Every type is a frozen dataclass: construct once, never mutate.
+  ``Dataset.truth`` is an ordinary dict for speed (treat it as read-only);
+  ``Dataset.predicted`` is always a :class:`DistTable`, one float matrix.
 * Truth is a single integer label per (query, document) pair.  A pair with no
   entry in ``Dataset.truth`` is simply unjudged, and a query counts as
   *labeled* only when every ranked document under it is judged.
@@ -17,7 +17,10 @@ Design notes
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 # Tolerance for "probabilities sum to one", for every reader of distributions.
 PROB_SUM_TOL = 1e-6
@@ -77,6 +80,66 @@ class RelevanceDistribution:
         return not self.violations()
 
 
+def left_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis term by term from the left, as Python's ``sum``
+    adds a list.  ``numpy.sum`` and ``@`` may group the terms otherwise and
+    move the last bit, so every sum that must match a per-document loop bit
+    for bit goes through here."""
+    total = x[..., 0]
+    for r in range(1, x.shape[-1]):
+        total = total + x[..., r]
+    return total
+
+
+def violating_rows(probs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``probs[R, L]`` that :meth:`RelevanceDistribution.violations` flags."""
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=-1)
+    return ~in_range | (np.abs(left_sum(probs) - 1.0) > PROB_SUM_TOL)
+
+
+class DistTable(Mapping):
+    """A read-only mapping (query_id, doc_id) -> :class:`RelevanceDistribution`
+    held as one table: ``rows`` maps each pair to its row of the float matrix
+    ``probs[R, L]``, which array readers use directly; a lookup builds the
+    distribution on demand.  Distributions of unequal lengths are padded with
+    NaN, and ``widths`` then holds each row's length (else ``None``)."""
+
+    __slots__ = ("rows", "probs", "widths")
+
+    def __init__(self, rows: dict[tuple[str, str], int], probs: np.ndarray,
+                 widths: np.ndarray | None = None):
+        probs.setflags(write=False)
+        self.rows, self.probs, self.widths = rows, probs, widths
+
+    @classmethod
+    def of(cls, dists: Mapping[tuple[str, str], RelevanceDistribution], num_labels: int):
+        """The table of ``dists``, in its order; ``num_labels`` wide if empty."""
+        vectors = [d.probs for d in dists.values()]
+        widths = [len(v) for v in vectors] or [num_labels]
+        width = max(widths)
+        probs = np.array([v + (np.nan,) * (width - len(v)) for v in vectors], dtype=float)
+        return cls(dict(zip(dists, range(len(vectors)))), probs.reshape(len(vectors), width),
+                   None if min(widths) == width else np.array(widths))
+
+    def with_probs(self, probs: np.ndarray) -> DistTable:
+        """The same pairs with the distributions of ``probs``'s rows."""
+        return DistTable(self.rows, probs, self.widths)
+
+    def __getitem__(self, key: tuple[str, str]) -> RelevanceDistribution:
+        i = self.rows[key]
+        end = None if self.widths is None else self.widths[i]
+        return RelevanceDistribution(self.probs[i, :end].tolist())
+
+    def __contains__(self, key) -> bool:
+        return key in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclass(frozen=True, slots=True)
 class Judgment:
     """A single true relevance label."""
@@ -124,14 +187,19 @@ class Dataset:
         (query_id, doc_id) -> :class:`Judgment`.  Partial: unjudged pairs are
         simply absent.
     predicted:
-        (query_id, doc_id) -> :class:`RelevanceDistribution`.  Expected to
+        (query_id, doc_id) -> :class:`RelevanceDistribution` as a
+        :class:`DistTable` (a plain mapping is converted once).  Expected to
         cover every ranked document (checked by :func:`validate_dataset`).
     """
 
     scale: LabelScale
     rankings: dict[str, RankedList] = field(default_factory=dict)
     truth: dict[tuple[str, str], Judgment] = field(default_factory=dict)
-    predicted: dict[tuple[str, str], RelevanceDistribution] = field(default_factory=dict)
+    predicted: Mapping[tuple[str, str], RelevanceDistribution] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.predicted, DistTable):
+            object.__setattr__(self, "predicted", DistTable.of(self.predicted, self.scale.num_labels))
 
     def queries(self) -> list[str]:
         """All query ids, sorted."""
@@ -187,17 +255,21 @@ def validate_dataset(dataset: Dataset, *, require_dists: bool = True) -> list[st
     ``require_dists`` is true.  An empty dataset is trivially valid.
     """
     problems: list[str] = []
-    scale = dataset.scale
+    scale, table = dataset.scale, dataset.predicted
+    # Whole-table array checks; only a flagged row is described pair by pair.
+    widths = table.probs.shape[1] if table.widths is None else table.widths
+    flagged = set(np.flatnonzero((widths != scale.num_labels) | violating_rows(table.probs)).tolist())
 
     for qid, ranking in dataset.rankings.items():
         if ranking.query_id != qid:
             problems.append(f"ranking stored under {qid!r} has query_id {ranking.query_id!r}")
         for doc in ranking.doc_ids:
-            dist = dataset.predicted.get((qid, doc))
-            if dist is None:
-                if require_dists:
-                    problems.append(f"query {qid!r} doc {doc!r}: no predicted distribution")
+            row = table.rows.get((qid, doc))
+            if row is None and require_dists:
+                problems.append(f"query {qid!r} doc {doc!r}: no predicted distribution")
+            if row not in flagged:
                 continue
+            dist = table[(qid, doc)]
             if dist.max_label != scale.max_label:
                 problems.append(
                     f"query {qid!r} doc {doc!r}: distribution has {len(dist.probs)} labels, "

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import UnlabeledQueryError
 from .metrics import left_sum
-from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from .model import Dataset, DistTable, Judgment, LabelScale, RankedList, RelevanceDistribution
 from .seeding import stream
 
 
@@ -83,24 +83,27 @@ def generate(config: SynthConfig) -> Dataset:
     width = max(3, len(str(max(config.num_queries - 1, 0))))
     rankings: dict[str, RankedList] = {}
     truth: dict[tuple[str, str], Judgment] = {}
-    predicted: dict[tuple[str, str], RelevanceDistribution] = {}
+    rows: dict[tuple[str, str], int] = {}
+    drawn: list[int] = []
     num_labels = config.scale.num_labels
+    # Every document with true label r gets kernel row r and judgment r.
+    kernels = np.array([_kernel(config.scale, r, config.annotator_sharpness) for r in range(num_labels)])
+    judgments = [Judgment(r) for r in range(num_labels)]
 
     for qi in range(config.num_queries):
         qid = f"q{qi:0{width}d}"
         rng = stream(config.seed, qi)
         labels = rng.choice(num_labels, size=config.docs_per_query, p=config.truth_prior)
-        scores = labels + rng.normal(0.0, 1.0, size=config.docs_per_query)
+        scores = (labels + rng.normal(0.0, 1.0, size=config.docs_per_query)).tolist()
         doc_ids = [f"d{j:04d}" for j in range(config.docs_per_query)]
         order = sorted(range(config.docs_per_query), key=lambda j: (-scores[j], doc_ids[j]))
         rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(doc_ids[j] for j in order))
-        for j in range(config.docs_per_query):
-            key = (qid, doc_ids[j])
-            truth[key] = Judgment(int(labels[j]))
-            predicted[key] = RelevanceDistribution(
-                _kernel(config.scale, int(labels[j]), config.annotator_sharpness)
-            )
+        for doc, label in zip(doc_ids, labels.tolist()):
+            truth[(qid, doc)] = judgments[label]
+            rows[(qid, doc)] = len(rows)
+            drawn.append(label)
 
+    predicted = DistTable(rows, kernels[np.array(drawn, dtype=np.intp)])
     return Dataset(scale=config.scale, rankings=rankings, truth=truth, predicted=predicted)
 
 
@@ -155,24 +158,12 @@ def apply_oracle(dist: RelevanceDistribution, true_label: int, tau: float) -> Re
     return RelevanceDistribution(tuple(out.tolist()))
 
 
-def _stacked(dataset: Dataset) -> np.ndarray:
-    """The dataset's predicted distributions as rows, in dict order."""
-    probs = np.array([d.probs for d in dataset.predicted.values()], dtype=float)
-    return probs.reshape(len(dataset.predicted), dataset.scale.num_labels)
-
-
-def _with_stacked(dataset: Dataset, probs: np.ndarray) -> Dataset:
-    """The dataset with its predicted distributions replaced by ``probs``'s
-    rows, in dict order."""
-    return replace(dataset, predicted={key: RelevanceDistribution(tuple(row))
-                                       for key, row in zip(dataset.predicted, probs.tolist())})
-
-
 def bias_dataset(dataset: Dataset, beta: float) -> Dataset:
     """Apply :func:`bias_probs` to every predicted distribution."""
     if beta == 0.0:
         return dataset
-    return _with_stacked(dataset, bias_probs(_stacked(dataset), beta))
+    table = dataset.predicted
+    return replace(dataset, predicted=table.with_probs(bias_probs(table.probs, beta)))
 
 
 def oracle_dataset(dataset: Dataset, tau: float) -> Dataset:
@@ -189,4 +180,5 @@ def oracle_dataset(dataset: Dataset, tau: float) -> Dataset:
         if judgment is None:
             raise UnlabeledQueryError(f"pair {key!r} has no judgment to mix toward")
         labels.append(judgment.label)
-    return _with_stacked(dataset, oracle_probs(_stacked(dataset), np.array(labels), tau))
+    table = dataset.predicted
+    return replace(dataset, predicted=table.with_probs(oracle_probs(table.probs, np.array(labels), tau)))

@@ -234,6 +234,23 @@ def test_ci_crc_per_query_rows_equal_one_query_intervals(labeled_corpus, tmp_pat
             ci.lower, ci.upper, ci.estimate)
 
 
+def test_ci_crc_per_query_header_reports_the_loaded_records_alpha(labeled_corpus, tmp_path,
+                                                                  capsys):
+    files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+             "--dists", labeled_corpus["dists"], "--method", "crc"]
+    cal_path = tmp_path / "cal.json"
+    code, _, _ = _run_main(["ci", *files, "--alpha", "0.1", "--batches", "200",
+                            "--save-calibration", str(cal_path)], capsys)
+    assert code == 0
+    code, pooled, _ = _run_main(["ci", *files, "--load-calibration", str(cal_path)], capsys)
+    assert code == 0
+    code, per_query, _ = _run_main(["ci", *files, "--per-query",
+                                    "--load-calibration", str(cal_path)], capsys)
+    assert code == 0
+    assert pooled.splitlines()[0].endswith("alpha: 0.1")
+    assert per_query.splitlines()[0] == "method: crc (per-query)  metric: dcg@10  alpha: 0.1"
+
+
 def _with_dists_off_by(corpus, tmp_path, error):
     """The corpus with its second distribution line's probs summing to 1 + error."""
     lines = Path(corpus["dists"]).read_text(encoding="utf-8").splitlines()

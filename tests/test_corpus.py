@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankci.corpus import (
     build_dataset,
@@ -15,7 +18,9 @@ from rankci.corpus import (
     write_run,
 )
 from rankci.errors import ParseError
-from rankci.model import Judgment, LabelScale, RankedList, RelevanceDistribution
+from rankci.metrics import MetricSpec, UtilityView
+from rankci.model import (Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution,
+                          validate_dataset)
 from rankci.synth import SynthConfig, generate
 
 RUN_TEXT = """\
@@ -160,3 +165,192 @@ def test_build_dataset_infers_scale():
     ds2 = build_dataset(run, dists, None)
     assert ds2.truth == {}
 
+
+
+def _dist_line(doc, probs):
+    return '{"qid": "q1", "docid": "%s", "probs": %s}' % (doc, probs)
+
+
+# Messages and line numbers as the line-at-a-time parser of earlier versions
+# gave them.
+PARSE_ERRORS = {
+    "object split over two lines, then two objects on one line": (
+        _dist_line("d1", "[0.5, 0.5]") + '\n{"qid": "q1",\n"docid": "d2", "probs": [0.5, 0.5]}\n'
+        + _dist_line("d3", "[0.5, 0.5]") + " " + _dist_line("d4", "[0.5, 0.5]") + "\n",
+        "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
+    "two objects on one line": (
+        _dist_line("d1", "[0.5, 0.5]") + "\n" + _dist_line("d3", "[0.5, 0.5]") + " "
+        + _dist_line("d4", "[0.5, 0.5]") + "\n",
+        "line 2: invalid JSON: Extra data"),
+    "array split over two lines": ("[1\n2]\n", "line 1: invalid JSON: Expecting ',' delimiter"),
+    "trailing brace": (_dist_line("d1", "[0.5, 0.5]") + "}\n", "line 1: invalid JSON: Extra data"),
+    "byte order mark": ("﻿" + _dist_line("d1", "[0.5, 0.5]") + "\n",
+                        "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "null prob": (_dist_line("d1", "[0.5, 0.5]") + "\n" + _dist_line("d2", "[null, 1.0]") + "\n",
+                  "line 2: probs entries must be numbers"),
+    "list prob": (_dist_line("d1", "[[0.5], 0.5]") + "\n", "line 1: probs entries must be numbers"),
+    "non-numeric string prob": (_dist_line("d1", '["x", 0.5]') + "\n",
+                                "line 1: probs entries must be numbers"),
+    "NaN": (_dist_line("d1", "[NaN, 1.0]") + "\n", "line 1: prob of label 0 is nan, outside [0, 1]"),
+    "Infinity": (_dist_line("d1", "[Infinity, 0.0]") + "\n",
+                 "line 1: prob of label 0 is inf, outside [0, 1]"),
+    "-Infinity": (_dist_line("d1", "[-Infinity, 1.0]") + "\n",
+                  "line 1: prob of label 0 is -inf, outside [0, 1]"),
+    "duplicate pair after a blank line": (
+        _dist_line("d1", "[0.5, 0.5]") + "\n\n" + _dist_line("d1", "[0.5, 0.5]") + "\n",
+        "line 3: duplicate distribution for query 'q1' doc 'd1'"),
+    "duplicate pair with a bad sum": (
+        _dist_line("d1", "[0.5, 0.5]") + "\n" + _dist_line("d1", "[0.5, 0.6]") + "\n",
+        "line 2: probs sum 1.1 != 1"),
+    "CRLF and blank lines before a bad sum": (
+        _dist_line("d1", "[0.5, 0.5]") + "\r\n\r\n" + _dist_line("d2", "[0.5, 0.75]") + "\r\n",
+        "line 3: probs sum 1.25 != 1"),
+    "sum error on line 3, invalid JSON on line 7": (
+        "\n".join([_dist_line("d1", "[0.5, 0.5]"), _dist_line("d2", "[0.5, 0.5]"),
+                   _dist_line("d3", "[0.5, 0.6]"), _dist_line("d4", "[0.5, 0.5]"), "",
+                   _dist_line("d5", "[0.5, 0.5]"), "{not json"]) + "\n",
+        "line 3: probs sum 1.1 != 1"),
+    "range error on line 5, missing key on line 7": (
+        "\n".join([_dist_line(f"d{i}", "[0.5, 0.5]") for i in range(4)]
+                  + [_dist_line("d9", "[-0.5, 1.5]"), "", '{"qid": "q1", "probs": [0.5, 0.5]}'])
+        + "\n",
+        "line 5: prob of label 0 is -0.5, outside [0, 1]"),
+    "non-number on line 4, wrong length on line 6": (
+        "\n".join([_dist_line(f"d{i}", "[0.5, 0.5]") for i in range(3)]
+                  + [_dist_line("dx", "[null, 1]"), _dist_line("dy", "[1.0, 0.0]"),
+                     _dist_line("dz", "[1.0]")]) + "\n",
+        "line 4: probs entries must be numbers"),
+    "sum error on line 2, non-number on line 4": (
+        "\n".join([_dist_line("d0", "[0.5, 0.5]"), _dist_line("d1", "[0.9, 0.3]"),
+                   _dist_line("d2", "[0.5, 0.5]"), _dist_line("dx", "[null, 1]")]) + "\n",
+        "line 2: probs sum 1.2 != 1"),
+    "non-number on line 2, sum error on line 4": (
+        "\n".join([_dist_line("d0", "[0.5, 0.5]"), _dist_line("d1", "[{}, 1]"),
+                   _dist_line("d2", "[0.5, 0.5]"), _dist_line("dx", "[0.9, 0.3]")]) + "\n",
+        "line 2: probs entries must be numbers"),
+    "not an object": ("[0.5, 0.5]\n", "line 1: distribution line is not a JSON object"),
+    "qid not a string": ('{"qid": 1, "docid": "d", "probs": [0.5, 0.5]}\n',
+                         "line 1: qid/docid must be strings and probs a list"),
+    "probs not a list": ('{"qid": "q", "docid": "d", "probs": "ab"}\n',
+                         "line 1: qid/docid must be strings and probs a list"),
+    "wrong length": (_dist_line("d1", "[0.5, 0.5, 0.0]") + "\n",
+                     "line 1: probs has 3 entries for a scale of 2 labels"),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_dists_reports_the_earliest_bad_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_dists(text, LabelScale(1))
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].split()[1])
+
+
+@pytest.mark.parametrize("probs, expected", [
+    ('["0.5", 0.5]', (0.5, 0.5)),
+    ("[true, 0]", (1.0, 0.0)),
+    ("[1, 0]", (1.0, 0.0)),
+    ("[5e-1, 0.5E0]", (0.5, 0.5)),
+    ("[5e-324, 1.0]", (5e-324, 1.0)),
+    ("[0.5, 0.5000005]", (0.5, 0.5000005)),
+])
+def test_parse_dists_converts_entries_as_float_does(probs, expected):
+    text = _dist_line("d1", "[0.5, 0.5]") + "\r\n\r\n  \r\n" + _dist_line("d2", probs) + "\r\n"
+    table = parse_dists(text, LabelScale(1))
+    assert table[("q1", "d2")].probs == expected
+    assert list(table) == [("q1", "d1"), ("q1", "d2")]
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+SUBNORMALS = (5e-324, 2.5e-320, 2.2250738585072009e-308)
+
+
+@st.composite
+def dists_text(draw):
+    """A dists file of 1-12 lines on a 2-5 label scale whose entries are
+    written as integers, in exponent form or with repr, and may be subnormal;
+    returns (max_label, text, the entry strings of each line)."""
+    width = draw(st.integers(2, 5))
+    entries, lines = [], []
+    for i in range(draw(st.integers(1, 12))):
+        form = draw(st.sampled_from(["int", "repr", "exp", "EXP", "subnormal"]))
+        if form == "int":
+            hot = draw(st.integers(0, width - 1))
+            row = ["1" if r == hot else "0" for r in range(width)]
+        else:
+            raw = draw(st.lists(st.floats(0.001, 1.0), min_size=width, max_size=width))
+            probs = [p / sum(raw) for p in raw]
+            if form == "subnormal":
+                r = draw(st.integers(0, width - 2))
+                tiny = draw(st.sampled_from(SUBNORMALS))
+                probs[r], probs[r + 1] = tiny, probs[r + 1] + probs[r] - tiny
+            fmt = {"exp": "{:.16e}", "EXP": "{:.16E}"}.get(form, "{!r}")
+            row = [fmt.format(p) for p in probs]
+        entries.append(row)
+        lines.append('{"qid": "q%d", "docid": "d%d", "probs": [%s]}' % (i % 3, i, ", ".join(row)))
+    order = draw(st.permutations(range(len(lines))))
+    text = "\n".join(lines[i] for i in order) + "\n"
+    return width - 1, text, [entries[i] for i in order]
+
+
+@PROPERTY
+@given(data=dists_text())
+def test_dists_parse_write_parse_is_bit_exact(data):
+    max_label, text, entries = data
+    scale = LabelScale(max_label)
+    first = parse_dists(text, scale)
+    # Each entry is Python's float of its text, bit for bit.
+    assert [[x.hex() for x in first[key].probs] for key in first] == [
+        [float(e).hex() for e in row] for row in entries]
+    canon = write_dists(first)
+    again = parse_dists(canon, scale)
+    assert sorted(again) == sorted(first)
+    assert all([x.hex() for x in again[k].probs] == [x.hex() for x in first[k].probs]
+               for k in first)
+    assert write_dists(again) == canon
+
+
+@st.composite
+def file_datasets(draw):
+    """A dict-built dataset on a 0-3 scale: 1-5 queries of 1-12 documents,
+    about three in four judged, random distributions."""
+    rankings, truth, predicted = {}, {}, {}
+    for qi in range(draw(st.integers(1, 5))):
+        qid = f"q{qi}"
+        docs = tuple(f"d{j}" for j in range(draw(st.integers(1, 12))))
+        rankings[qid] = RankedList(qid, docs)
+        for doc in docs:
+            if draw(st.integers(0, 3)):
+                truth[(qid, doc)] = Judgment(draw(st.integers(0, 3)))
+            raw = draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+            predicted[(qid, doc)] = RelevanceDistribution(tuple(p / sum(raw) for p in raw))
+    spec = MetricSpec(draw(st.sampled_from(["dcg", "precision"])), draw(st.integers(1, 10)),
+                      draw(st.sampled_from(["identity", "exponential"])))
+    return spec, Dataset(LabelScale(3), rankings, truth, dict(reversed(predicted.items())))
+
+
+@PROPERTY
+@given(data=file_datasets())
+def test_a_dict_built_dataset_and_its_files_give_the_same_view(data):
+    spec, ds = data
+    loaded = build_dataset(write_run(ds.rankings), write_dists(ds.predicted),
+                           write_qrels(ds.truth), LabelScale(3))
+    qs = ds.queries()
+    a, b = UtilityView(spec, ds, qs), UtilityView(spec, loaded, qs)
+    for name in ("probs", "labels", "weights", "segments", "starts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.predicted_utilities().tolist() == b.predicted_utilities().tolist()
+
+
+def test_the_array_checks_add_up_a_vector_as_violations_does():
+    # Added left to right this row sums to 0.9999990000000001, inside the
+    # 1e-6 tolerance; numpy's pairwise sum gives 0.999999, just outside.
+    row = [0.22485650018626702, 0.0022991245125756443, 0.24763995021296792,
+           0.08887968933239912, 0.1523122970439375, 0.02240655151718793,
+           0.14450716005421316, 0.02870012687902621, 0.08839760026142551]
+    assert RelevanceDistribution(tuple(row)).is_valid()
+    scale = LabelScale(8)
+    table = parse_dists(json.dumps({"qid": "q", "docid": "d", "probs": row}) + "\n", scale)
+    assert table[("q", "d")].probs == tuple(row)
+    ds = Dataset(scale, {"q": RankedList("q", ("d",))}, {}, {("q", "d"): RelevanceDistribution(row)})
+    assert validate_dataset(ds) == []

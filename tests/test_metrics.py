@@ -257,6 +257,14 @@ def test_view_utilities_equal_a_per_document_reference(data):
             view.true_utilities()
 
 
+def test_one_query_helpers_read_only_the_rankings_own_pairs():
+    spec, ds = parse_metric("dcg@10"), _dataset_for_worked_example()
+    expected = query_utility_predicted(spec, ds.rankings["q1"], ds.predicted)
+    # A pair of another query that is not a distribution at all is never read.
+    predicted = {**ds.predicted, ("q9", "x"): "not a distribution"}
+    assert query_utility_predicted(spec, ds.rankings["q1"], predicted) == expected
+
+
 def test_view_without_predictions_reads_truth_only():
     ds = _dataset_for_worked_example()
     bare = Dataset(ds.scale, ds.rankings, ds.truth, {})

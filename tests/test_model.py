@@ -1,16 +1,21 @@
 """Data-model validation: scales, distributions, rankings, datasets, reports."""
 
+import numpy as np
 import pytest
 
+from rankci.corpus import parse_dists, write_dists
+from rankci.metrics import UtilityView, parse_metric
 from rankci.model import (
     CiReport,
     Dataset,
+    DistTable,
     Judgment,
     LabelScale,
     RankedList,
     RelevanceDistribution,
     validate_dataset,
 )
+from rankci.synth import SynthConfig, bias_dataset, generate, oracle_dataset
 
 
 def test_label_scale_counts():
@@ -194,3 +199,45 @@ def test_ci_report_to_dict_round_trips_fields():
     # to_dict copies; mutating the copy must not touch the report
     d["diagnostics"]["z"] = 0.0
     assert r.diagnostics["z"] == 1.6449
+
+
+def test_a_dict_of_distributions_becomes_a_table():
+    ds = _tiny_dataset()
+    table = ds.predicted
+    assert isinstance(table, DistTable)
+    assert list(table) == [("q1", "d1"), ("q1", "d2"), ("q2", "d1")]
+    assert len(table) == 3 and ("q2", "d1") in table and ("q2", "d2") not in table
+    assert table[("q1", "d2")] == RelevanceDistribution((0.8, 0.1, 0.1))
+    assert table == {k: RelevanceDistribution(tuple(row)) for k, row in
+                     zip(table, ([0.1, 0.2, 0.7], [0.8, 0.1, 0.1], [0.3, 0.3, 0.4]))}
+    assert table.probs.shape == (3, 3) and table.widths is None
+    with pytest.raises(ValueError):
+        table.probs[0, 0] = 1.0  # read-only
+    assert Dataset(ds.scale, ds.rankings, ds.truth, table).predicted is table
+    assert Dataset(LabelScale(4)).predicted.probs.shape == (0, 5)
+
+
+def test_a_table_of_unequal_lengths_keeps_each_distribution():
+    dists = {("q", "a"): RelevanceDistribution((0.5, 0.5)),
+             ("q", "b"): RelevanceDistribution((0.2, 0.3, 0.5))}
+    table = Dataset(LabelScale(2), predicted=dists).predicted
+    assert dict(table) == dists
+    assert table.widths.tolist() == [2, 3]
+
+
+def test_valid_data_builds_no_distribution_object_per_row(monkeypatch):
+    config = SynthConfig(num_queries=12, docs_per_query=8, scale=LabelScale(3),
+                         truth_prior=(0.4, 0.3, 0.2, 0.1), annotator_sharpness=3.0, seed=2)
+    text = write_dists(generate(config).predicted)
+    built = []
+    post_init = RelevanceDistribution.__post_init__
+    monkeypatch.setattr(RelevanceDistribution, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    ds = generate(config)
+    loaded = Dataset(ds.scale, ds.rankings, ds.truth, parse_dists(text, ds.scale))
+    assert validate_dataset(loaded) == []
+    spec = parse_metric("dcg@5")
+    for d in (ds, loaded, bias_dataset(ds, 0.3), oracle_dataset(ds, 0.6)):
+        UtilityView(spec, d, d.queries()).predicted_utilities()
+    assert built == []
+    assert np.array_equal(loaded.predicted.probs, ds.predicted.probs)

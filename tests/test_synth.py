@@ -11,6 +11,7 @@ from rankci.errors import UnlabeledQueryError
 from rankci.model import Dataset, LabelScale, RelevanceDistribution
 from rankci.synth import (
     SynthConfig,
+    _kernel,
     apply_bias,
     apply_oracle,
     bias_dataset,
@@ -47,6 +48,16 @@ def test_config_validation():
         _config(truth_prior=(0.7, 0.2, 0.2))  # does not sum to 1
     with pytest.raises(ValueError):
         _config(annotator_sharpness=0.0)
+
+
+@pytest.mark.parametrize("sharpness", [1.0, 2.5, 7.0, math.inf])
+def test_generate_gives_each_document_the_kernel_of_its_true_label(sharpness):
+    config = _config(annotator_sharpness=sharpness)
+    ds = generate(config)
+    assert list(ds.predicted) == list(ds.truth)
+    for key, judgment in ds.truth.items():
+        expected = _kernel(config.scale, judgment.label, sharpness)
+        assert [p.hex() for p in ds.predicted[key].probs] == [p.hex() for p in expected]
 
 
 def test_generate_is_deterministic():
