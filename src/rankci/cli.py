@@ -29,6 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bootstrap import bootstrap_ci
+# parse_qrels and parse_run are not called here; bench/tracing.py patches them.
 from .corpus import build_dataset, infer_scale_from_dists, parse_qrels, parse_run
 from .crc import (CrcCalibration, _per_query_bounds, _UtilityEngine, build_batches, calibrate,
                   crc_ci)
@@ -119,14 +120,11 @@ def _load_dataset(run_path: str, dists_path: str | None, qrels_path: str | None,
         dists_text = _read(dists_path)
         scale = LabelScale(max_label) if max_label is not None else infer_scale_from_dists(dists_text)
         qrels_text = _read(qrels_path) if qrels_path is not None else None
-        dataset = build_dataset(run_text, dists_text, qrels_text=qrels_text, scale=scale)
     else:
         # No distributions: judgments only (enough for the bootstrap method).
-        qrels_text = _read(qrels_path) if qrels_path is not None else ""
+        dists_text, qrels_text = "", _read(qrels_path) if qrels_path is not None else ""
         scale = LabelScale(max_label) if max_label is not None else _scale_from_qrels_text(qrels_text)
-        rankings = parse_run(run_text)
-        truth = parse_qrels(qrels_text, scale)
-        dataset = Dataset(scale=scale, rankings=rankings, truth=truth, predicted={})
+    dataset = build_dataset(run_text, dists_text, qrels_text=qrels_text, scale=scale)
     problems = validate_dataset(dataset, require_dists=dists_path is not None)
     if problems:
         for p in problems[:20]:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from collections.abc import Mapping
 
 import numpy as np
 
 from .errors import ParseError
-from .model import (Dataset, DistTable, Judgment, LabelScale, RankedList, RelevanceDistribution,
-                    violating_rows)
+from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, RankedList,
+                    RelevanceDistribution, violating_rows)
 
 
 def _lines(text: str):
@@ -62,6 +63,8 @@ def parse_run(text: str) -> dict[str, RankedList]:
             score = float(score_s)
         except ValueError:
             raise ParseError(f"unparseable score {score_s!r}", line=lineno) from None
+        if math.isnan(score):  # NaN has no place in the score order
+            raise ParseError(f"score {score_s!r} is not a number", line=lineno)
         if (qid, docid) in seen:
             raise ParseError(f"duplicate entry for query {qid!r} doc {docid!r}", line=lineno)
         seen.add((qid, docid))
@@ -89,9 +92,10 @@ def write_run(rankings: Mapping[str, RankedList], tag: str = "rankci") -> str:
 # qrels files
 
 
-def parse_qrels(text: str, scale: LabelScale) -> dict[tuple[str, str], Judgment]:
+def parse_qrels(text: str, scale: LabelScale) -> LabelTable:
     """Parse judgments; labels outside 0..max_label are rejected."""
-    truth: dict[tuple[str, str], Judgment] = {}
+    rows: dict[tuple[str, str], int] = {}
+    labels: list[int] = []
     for lineno, line in _lines(text):
         fields = line.split()
         if len(fields) != 4:
@@ -106,17 +110,17 @@ def parse_qrels(text: str, scale: LabelScale) -> dict[tuple[str, str], Judgment]
                 f"label {label} for query {qid!r} doc {docid!r} is off the 0..{scale.max_label} scale",
                 line=lineno,
             )
-        if (qid, docid) in truth:
+        if (qid, docid) in rows:
             raise ParseError(f"duplicate judgment for query {qid!r} doc {docid!r}", line=lineno)
-        truth[(qid, docid)] = Judgment(label)
-    return truth
+        rows[(qid, docid)] = len(labels)
+        labels.append(label)
+    return LabelTable(rows, np.array(labels, dtype=np.intp))
 
 
 def write_qrels(truth: Mapping[tuple[str, str], Judgment]) -> str:
-    out = [
-        f"{qid} 0 {docid} {truth[(qid, docid)].label}"
-        for qid, docid in sorted(truth)
-    ]
+    table = truth if isinstance(truth, LabelTable) else LabelTable.of(truth)
+    judged = sorted(zip(table.rows, table.labels.tolist()))
+    out = [f"{qid} 0 {docid} {label}" for (qid, docid), label in judged]
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -195,10 +199,12 @@ def infer_scale_from_dists(text: str) -> LabelScale:
 
 
 def write_dists(predicted: Mapping[tuple[str, str], RelevanceDistribution]) -> str:
-    out = []
-    for qid, docid in sorted(predicted):
-        probs = [float(p) for p in predicted[(qid, docid)].probs]
-        out.append(json.dumps({"qid": qid, "docid": docid, "probs": probs}))
+    table = predicted if isinstance(predicted, DistTable) else DistTable.of(predicted, 0)
+    probs = table.probs.tolist()
+    if table.widths is not None:
+        probs = [row[:w] for row, w in zip(probs, table.widths.tolist())]
+    out = [json.dumps({"qid": qid, "docid": docid, "probs": row})
+           for (qid, docid), row in sorted(zip(table.rows, probs))]
     return "\n".join(out) + ("\n" if out else "")
 
 

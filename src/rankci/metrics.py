@@ -22,12 +22,12 @@ import math
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import EmptyQuerySetError, MissingDistributionError, UnlabeledQueryError
-from .model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution, left_sum
+from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, RankedList,
+                    RelevanceDistribution, left_sum)
 
 KINDS = ("precision", "dcg")
 GAINS = ("identity", "exponential")
@@ -143,32 +143,28 @@ class UtilityView:
         self.spec, self.scale = spec, dataset.scale
         self.query_ids = list(query_ids)
         self.rankings = dataset.rankings
-        truth, table = dataset.truth, dataset.predicted
-        weights_k = rank_weights(spec)
-        rows: list[int] = []
-        labels: list[int] = []
-        weights: list[float] = []
-        counts: list[int] = []
-        for qid in self.query_ids:
-            keys = [(qid, doc) for doc in dataset.rankings[qid].doc_ids[: spec.cutoff_k]]
-            labels.extend([-1 if j is None else j.label for j in map(truth.get, keys)])
-            if predictions:
-                try:
-                    rows.extend(map(table.rows.__getitem__, keys))
-                except KeyError as e:
-                    doc = e.args[0][1]
-                    raise MissingDistributionError(
-                        f"query {qid!r}: document {doc!r} at rank {keys.index(e.args[0]) + 1} "
-                        "has no predicted distribution"
-                    ) from None
-            weights.extend(weights_k[: len(keys)])
-            counts.append(len(keys))
-        self.probs = table.probs[np.array(rows, dtype=np.intp)] if predictions else None
+        order, table = dataset.order, dataset.predicted
+        pos = np.array([order.where[q] for q in self.query_ids], dtype=np.intp)
+        at, self.starts, rank = _gather(order.starts, pos, spec.cutoff_k)
+        self.segments = np.repeat(np.arange(len(pos)), np.diff(self.starts))
+        self.labels = order.labels[at]
+        self.weights = np.array(rank_weights(spec))[rank]
         self.gains = gain_vector(spec, LabelScale(table.probs.shape[1] - 1))
-        self.labels = np.array(labels, dtype=np.intp)
-        self.weights = np.array(weights, dtype=float)
-        self.starts = np.array([0, *accumulate(counts)], dtype=np.intp)
-        self.segments = np.repeat(np.arange(len(counts)), counts)
+        self.probs = None
+        if predictions:
+            rows = order.rows[at]
+            if where := self._first(rows < 0):
+                raise MissingDistributionError(f"{where} has no predicted distribution")
+            self.probs = table.probs[rows]
+
+    def _first(self, flagged: np.ndarray) -> str | None:
+        """Names the query, document and rank of the first flagged row."""
+        hit = np.flatnonzero(flagged)
+        if not hit.size:
+            return None
+        row, qi = int(hit[0]), int(self.segments[hit[0]])
+        qid, rank = self.query_ids[qi], row - int(self.starts[qi])
+        return f"query {qid!r}: document {self.rankings[qid].doc_ids[rank]!r} at rank {rank + 1}"
 
     def _per_query(self, row_values: np.ndarray) -> np.ndarray:
         """Per-query sums of weight * value, rows added in order."""
@@ -180,15 +176,8 @@ class UtilityView:
 
         Raises :class:`UnlabeledQueryError` naming the first unjudged row.
         """
-        unjudged = np.flatnonzero(self.labels < 0)
-        if unjudged.size:
-            row = int(unjudged[0])
-            qi = int(self.segments[row])
-            qid, rank = self.query_ids[qi], row - int(self.starts[qi]) + 1
-            doc = self.rankings[qid].doc_ids[rank - 1]
-            raise UnlabeledQueryError(
-                f"query {qid!r}: document {doc!r} at rank {rank} has no judgment"
-            )
+        if where := self._first(self.labels < 0):
+            raise UnlabeledQueryError(f"{where} has no judgment")
         top = LabelScale(max(1, int(self.labels.max(initial=1))))
         return self._per_query(gain_vector(self.spec, top)[self.labels])
 
@@ -207,23 +196,37 @@ class UtilityView:
         that order."""
         where = {q: i for i, q in enumerate(self.query_ids)}
         pos = np.array([where[q] for q in query_ids], dtype=np.intp)
-        counts = self.starts[pos + 1] - self.starts[pos]
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        rows = np.arange(starts[-1]) + np.repeat(self.starts[pos] - starts[:-1], counts)
+        rows, starts, _ = _gather(self.starts, pos)
         out = copy.copy(self)
         out.query_ids = [self.query_ids[i] for i in pos.tolist()]
         out.probs = None if self.probs is None else self.probs[rows]
         out.labels, out.weights = self.labels[rows], self.weights[rows]
-        out.segments, out.starts = np.repeat(np.arange(len(pos)), counts), starts
+        out.segments, out.starts = np.repeat(np.arange(len(pos)), np.diff(starts)), starts
         return out
 
 
-def _one_query(ranking: RankedList, truth=None, predicted=None) -> Dataset:
-    # The view reads the label range from the data, so any scale will do.
-    # Only the ranking's own distributions are converted, so a call is O(ranking).
-    predicted = predicted or {}
-    own = {k: predicted[k] for d in ranking.doc_ids if (k := (ranking.query_id, d)) in predicted}
-    return Dataset(LabelScale(1), {ranking.query_id: ranking}, truth or {}, own)
+def _gather(starts: np.ndarray, pos: np.ndarray, cap: int | None = None):
+    """Positions of the rows of the spans ``starts[i]:starts[i+1]`` for each
+    ``i`` of ``pos`` in turn, each cut to its first ``cap`` rows; with the new
+    span starts and each row's place in its span."""
+    first = starts[pos]
+    counts = starts[pos + 1] - first
+    if cap is not None:
+        counts = np.minimum(counts, cap)
+    new = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+    place = np.arange(new[-1]) - np.repeat(new[:-1], counts)
+    return np.repeat(first, counts) + place, new, place
+
+
+def _one_query(spec: MetricSpec, ranking: RankedList, truth=None, predicted=None) -> Dataset:
+    # The view reads the label range from the data, so any scale will do, and
+    # only the first cutoff_k documents count.  A table is used as it is; of
+    # any other mapping only those documents' pairs are converted.
+    top = RankedList(ranking.query_id, ranking.doc_ids[: spec.cutoff_k])
+    keys = [(top.query_id, d) for d in top.doc_ids]
+    own = [m if isinstance(m, (LabelTable, DistTable)) else {k: m[k] for k in keys if k in m}
+           for m in (truth or {}, predicted or {})]
+    return Dataset(LabelScale(1), {top.query_id: top}, *own)
 
 
 def query_utility_true(
@@ -237,7 +240,7 @@ def query_utility_true(
     cutoff has no judgment (documents past the cutoff carry zero weight and
     may be unjudged).
     """
-    view = UtilityView(spec, _one_query(ranking, truth=truth), [ranking.query_id],
+    view = UtilityView(spec, _one_query(spec, ranking, truth=truth), [ranking.query_id],
                        predictions=False)
     return float(view.true_utilities()[0])
 
@@ -248,7 +251,7 @@ def query_utility_predicted(
     predicted: Mapping[tuple[str, str], RelevanceDistribution],
 ) -> float:
     """Utility of one query with expected gains in place of true gains."""
-    view = UtilityView(spec, _one_query(ranking, predicted=predicted), [ranking.query_id])
+    view = UtilityView(spec, _one_query(spec, ranking, predicted=predicted), [ranking.query_id])
     return float(view.predicted_utilities()[0])
 
 

@@ -3,9 +3,10 @@ rankings, datasets, splits, and the interval report shared by all estimators.
 
 Design notes
 ------------
-* Every type is a frozen dataclass: construct once, never mutate.
-  ``Dataset.truth`` is an ordinary dict for speed (treat it as read-only);
-  ``Dataset.predicted`` is always a :class:`DistTable`, one float matrix.
+* Every type is a frozen dataclass or a read-only table: construct once,
+  never mutate.  ``Dataset.truth`` is always a :class:`LabelTable` (one
+  integer column) and ``Dataset.predicted`` a :class:`DistTable` (one float
+  matrix); :class:`RankOrder` lists their rows in rank order.
 * Truth is a single integer label per (query, document) pair.  A pair with no
   entry in ``Dataset.truth`` is simply unjudged, and a query counts as
   *labeled* only when every ranked document under it is judged.
@@ -17,8 +18,9 @@ Design notes
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -97,14 +99,35 @@ def violating_rows(probs: np.ndarray) -> np.ndarray:
     return ~in_range | (np.abs(left_sum(probs) - 1.0) > PROB_SUM_TOL)
 
 
-class DistTable(Mapping):
-    """A read-only mapping (query_id, doc_id) -> :class:`RelevanceDistribution`
-    held as one table: ``rows`` maps each pair to its row of the float matrix
-    ``probs[R, L]``, which array readers use directly; a lookup builds the
-    distribution on demand.  Distributions of unequal lengths are padded with
-    NaN, and ``widths`` then holds each row's length (else ``None``)."""
+class _PairTable(Mapping):
+    """A read-only mapping over (query_id, doc_id) pairs held as columns:
+    ``rows`` numbers each pair, in insertion order, by its row."""
 
-    __slots__ = ("rows", "probs", "widths")
+    __slots__ = ("rows",)
+
+    def row_of(self, keys: Collection[tuple[str, str]]) -> np.ndarray:
+        """The row of each of ``keys``; -1 for a pair the table does not hold."""
+        get = self.rows.get
+        return np.fromiter((get(k, -1) for k in keys), np.intp, len(keys))
+
+    def __contains__(self, key) -> bool:
+        return key in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+class DistTable(_PairTable):
+    """A read-only mapping (query_id, doc_id) -> :class:`RelevanceDistribution`
+    held as the rows of the float matrix ``probs[R, L]``, which array readers
+    use directly; a lookup builds the distribution on demand.  Distributions
+    of unequal lengths are padded with NaN, and ``widths`` then holds each
+    row's length (else ``None``)."""
+
+    __slots__ = ("probs", "widths")
 
     def __init__(self, rows: dict[tuple[str, str], int], probs: np.ndarray,
                  widths: np.ndarray | None = None):
@@ -130,15 +153,6 @@ class DistTable(Mapping):
         end = None if self.widths is None else self.widths[i]
         return RelevanceDistribution(self.probs[i, :end].tolist())
 
-    def __contains__(self, key) -> bool:
-        return key in self.rows
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True, slots=True)
 class Judgment:
@@ -149,6 +163,32 @@ class Judgment:
     def __post_init__(self):
         if not isinstance(self.label, int) or self.label < 0:
             raise ValueError(f"label must be an integer >= 0, got {self.label!r}")
+
+
+class LabelTable(_PairTable):
+    """A read-only mapping (query_id, doc_id) -> :class:`Judgment` held as the
+    integer column ``labels[R]``; a lookup builds the judgment on demand.
+    Where the judged pairs are the pairs of a :class:`DistTable`, both tables
+    share one ``rows``."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, rows: dict[tuple[str, str], int], labels: np.ndarray):
+        labels.setflags(write=False)
+        self.rows, self.labels = rows, labels
+
+    @classmethod
+    def of(cls, truth: Mapping[tuple[str, str], Judgment]) -> LabelTable:
+        """The table of ``truth``, in its order."""
+        labels = np.fromiter((j.label for j in truth.values()), np.intp, len(truth))
+        return cls(dict(zip(truth, range(len(truth)))), labels)
+
+    def at(self, keys: Collection[tuple[str, str]]) -> np.ndarray:
+        """The labels of ``keys``, -1 where unjudged."""
+        return self.labels if keys is self.rows else np.append(self.labels, -1)[self.row_of(keys)]
+
+    def __getitem__(self, key: tuple[str, str]) -> Judgment:
+        return Judgment(int(self.labels[self.rows[key]]))
 
 
 @dataclass(frozen=True)
@@ -173,6 +213,32 @@ class RankedList:
         return len(self.doc_ids)
 
 
+class RankOrder:
+    """The ranked pairs of a dataset, for the queries in sorted order
+    (``query_ids``, with ``where[q]`` the index of ``q``) and each query's
+    documents in rank order: query ``i`` owns positions
+    ``starts[i]:starts[i+1]``, and position ``p`` is the pair's row of the
+    predicted table ``rows[p]`` (-1 without one) with true label
+    ``labels[p]`` (-1 where unjudged).  ``source`` holds the rankings, truth
+    and predicted index it was built from."""
+
+    __slots__ = ("query_ids", "where", "rows", "labels", "starts", "source")
+
+    def __init__(self, query_ids: list[str], rows: np.ndarray, labels: np.ndarray,
+                 starts: np.ndarray, source: tuple):
+        self.query_ids, self.where = query_ids, {q: i for i, q in enumerate(query_ids)}
+        self.rows, self.labels, self.starts, self.source = rows, labels, starts, source
+
+    @classmethod
+    def of(cls, rankings: dict[str, RankedList], truth: LabelTable, predicted: DistTable) -> RankOrder:
+        qids = sorted(rankings)
+        keys = [(q, d) for q in qids for d in rankings[q].doc_ids]
+        rows = predicted.row_of(keys)
+        labels = np.append(truth.labels, -1)[rows] if truth.rows is predicted.rows else truth.at(keys)
+        starts = np.cumsum([0, *(len(rankings[q]) for q in qids)], dtype=np.intp)
+        return cls(qids, rows, labels, starts, (rankings, truth, predicted.rows))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rankings plus (partial) truth and (total) predicted label distributions.
@@ -184,38 +250,45 @@ class Dataset:
     rankings:
         query_id -> :class:`RankedList`.
     truth:
-        (query_id, doc_id) -> :class:`Judgment`.  Partial: unjudged pairs are
-        simply absent.
+        (query_id, doc_id) -> :class:`Judgment` as a :class:`LabelTable` (a
+        plain mapping is converted once).  Partial: unjudged pairs are simply
+        absent.
     predicted:
         (query_id, doc_id) -> :class:`RelevanceDistribution` as a
         :class:`DistTable` (a plain mapping is converted once).  Expected to
         cover every ranked document (checked by :func:`validate_dataset`).
+    order:
+        The :class:`RankOrder` of the fields above, built once (a dataset with
+        new probs on the same rows keeps it).
     """
 
     scale: LabelScale
     rankings: dict[str, RankedList] = field(default_factory=dict)
-    truth: dict[tuple[str, str], Judgment] = field(default_factory=dict)
+    truth: Mapping[tuple[str, str], Judgment] = field(default_factory=dict)
     predicted: Mapping[tuple[str, str], RelevanceDistribution] = field(default_factory=dict)
+    order: RankOrder | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.predicted, DistTable):
             object.__setattr__(self, "predicted", DistTable.of(self.predicted, self.scale.num_labels))
+        if not isinstance(self.truth, LabelTable):
+            object.__setattr__(self, "truth", LabelTable.of(self.truth))
+        sources = (self.rankings, self.truth, self.predicted.rows)
+        if self.order is None or any(a is not b for a, b in zip(self.order.source, sources)):
+            object.__setattr__(self, "order", RankOrder.of(self.rankings, self.truth, self.predicted))
 
     def queries(self) -> list[str]:
         """All query ids, sorted."""
-        return sorted(self.rankings)
-
-    def is_labeled(self, query_id: str) -> bool:
-        """True iff every ranked document of the query has a judgment."""
-        ranking = self.rankings[query_id]
-        return all((query_id, d) in self.truth for d in ranking.doc_ids)
+        return list(self.order.query_ids)
 
     def labeled_queries(self) -> list[str]:
         """Sorted ids of the queries whose rankings are fully judged."""
-        truth = self.truth
-        unjudged = {q for q, ranking in self.rankings.items()
-                    for d in ranking.doc_ids if (q, d) not in truth}
-        return [q for q in self.queries() if q not in unjudged]
+        o = self.order
+        # The least label of each query's positions; the appended 0 keeps every
+        # start in range, and a query that ranks nothing counts as labeled.
+        judged = np.minimum.reduceat(np.append(o.labels, 0), o.starts[:-1]) >= 0
+        judged |= o.starts[1:] == o.starts[:-1]
+        return list(compress(o.query_ids, judged.tolist()))
 
 
 @dataclass(frozen=True)
@@ -255,19 +328,21 @@ def validate_dataset(dataset: Dataset, *, require_dists: bool = True) -> list[st
     ``require_dists`` is true.  An empty dataset is trivially valid.
     """
     problems: list[str] = []
-    scale, table = dataset.scale, dataset.predicted
-    # Whole-table array checks; only a flagged row is described pair by pair.
+    scale, table, order, truth = dataset.scale, dataset.predicted, dataset.order, dataset.truth
+    # Whole-table array checks; only a flagged ranked pair is described.  The
+    # appended entry stands for a ranked pair without a distribution (row -1).
     widths = table.probs.shape[1] if table.widths is None else table.widths
-    flagged = set(np.flatnonzero((widths != scale.num_labels) | violating_rows(table.probs)).tolist())
+    flagged = np.append((widths != scale.num_labels) | violating_rows(table.probs), require_dists)
+    bad = flagged[order.rows]
 
     for qid, ranking in dataset.rankings.items():
         if ranking.query_id != qid:
             problems.append(f"ranking stored under {qid!r} has query_id {ranking.query_id!r}")
-        for doc in ranking.doc_ids:
-            row = table.rows.get((qid, doc))
-            if row is None and require_dists:
+        start = int(order.starts[order.where[qid]])
+        for r in np.flatnonzero(bad[start:start + len(ranking)]).tolist():
+            doc = ranking.doc_ids[r]
+            if (qid, doc) not in table:
                 problems.append(f"query {qid!r} doc {doc!r}: no predicted distribution")
-            if row not in flagged:
                 continue
             dist = table[(qid, doc)]
             if dist.max_label != scale.max_label:
@@ -278,10 +353,8 @@ def validate_dataset(dataset: Dataset, *, require_dists: bool = True) -> list[st
             for v in dist.violations():
                 problems.append(f"query {qid!r} doc {doc!r}: {v}")
 
-    for (qid, doc), judgment in dataset.truth.items():
-        if judgment.label > scale.max_label:
-            problems.append(
-                f"query {qid!r} doc {doc!r}: label {judgment.label} exceeds max_label {scale.max_label}"
-            )
+    over = truth.labels > scale.max_label
+    for (qid, doc), label in zip(compress(truth.rows, over.tolist()), truth.labels[over].tolist()):
+        problems.append(f"query {qid!r} doc {doc!r}: label {label} exceeds max_label {scale.max_label}")
 
     return problems

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import UnlabeledQueryError
 from .metrics import left_sum
-from .model import Dataset, DistTable, Judgment, LabelScale, RankedList, RelevanceDistribution
+from .model import (Dataset, DistTable, LabelScale, LabelTable, RankedList, RankOrder,
+                    RelevanceDistribution)
 from .seeding import stream
 
 
@@ -81,30 +83,33 @@ def generate(config: SynthConfig) -> Dataset:
     labeled.
     """
     width = max(3, len(str(max(config.num_queries - 1, 0))))
+    n, per_query, num_labels = config.num_queries, config.docs_per_query, config.scale.num_labels
     rankings: dict[str, RankedList] = {}
-    truth: dict[tuple[str, str], Judgment] = {}
     rows: dict[tuple[str, str], int] = {}
-    drawn: list[int] = []
-    num_labels = config.scale.num_labels
+    drawn, orders = [], []
     # Every document with true label r gets kernel row r and judgment r.
     kernels = np.array([_kernel(config.scale, r, config.annotator_sharpness) for r in range(num_labels)])
-    judgments = [Judgment(r) for r in range(num_labels)]
+    doc_ids = [f"d{j:04d}" for j in range(per_query)]
 
-    for qi in range(config.num_queries):
+    # Query qi owns the rows qi * per_query onward, one per document in id order.
+    for qi in range(n):
         qid = f"q{qi:0{width}d}"
         rng = stream(config.seed, qi)
-        labels = rng.choice(num_labels, size=config.docs_per_query, p=config.truth_prior)
-        scores = (labels + rng.normal(0.0, 1.0, size=config.docs_per_query)).tolist()
-        doc_ids = [f"d{j:04d}" for j in range(config.docs_per_query)]
-        order = sorted(range(config.docs_per_query), key=lambda j: (-scores[j], doc_ids[j]))
+        labels = rng.choice(num_labels, size=per_query, p=config.truth_prior)
+        scores = (labels + rng.normal(0.0, 1.0, size=per_query)).tolist()
+        order = sorted(range(per_query), key=lambda j: (-scores[j], doc_ids[j]))
         rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(doc_ids[j] for j in order))
-        for doc, label in zip(doc_ids, labels.tolist()):
-            truth[(qid, doc)] = judgments[label]
-            rows[(qid, doc)] = len(rows)
-            drawn.append(label)
+        rows.update(zip([(qid, doc) for doc in doc_ids], range(qi * per_query, (qi + 1) * per_query)))
+        drawn.append(labels)
+        orders.append(order)
 
-    predicted = DistTable(rows, kernels[np.array(drawn, dtype=np.intp)])
-    return Dataset(scale=config.scale, rankings=rankings, truth=truth, predicted=predicted)
+    drawn = np.array(drawn, dtype=np.intp).reshape(-1)
+    ranked = (np.array(orders, dtype=np.intp).reshape(n, per_query)
+              + per_query * np.arange(n)[:, None]).reshape(-1)
+    truth, predicted = LabelTable(rows, drawn), DistTable(rows, kernels[drawn])
+    order = RankOrder(list(rankings), ranked, drawn[ranked],
+                      per_query * np.arange(n + 1, dtype=np.intp), (rankings, truth, rows))
+    return Dataset(scale=config.scale, rankings=rankings, truth=truth, predicted=predicted, order=order)
 
 
 def bias_probs(probs: np.ndarray, beta: float) -> np.ndarray:
@@ -174,11 +179,10 @@ def oracle_dataset(dataset: Dataset, tau: float) -> Dataset:
     """
     if tau == 0.0:
         return dataset
-    labels = []
-    for key in dataset.predicted:
-        judgment = dataset.truth.get(key)
-        if judgment is None:
-            raise UnlabeledQueryError(f"pair {key!r} has no judgment to mix toward")
-        labels.append(judgment.label)
     table = dataset.predicted
-    return replace(dataset, predicted=table.with_probs(oracle_probs(table.probs, np.array(labels), tau)))
+    labels = dataset.truth.at(table.rows)  # the label column itself when the index is shared
+    unjudged = np.flatnonzero(labels < 0)
+    if unjudged.size:
+        key = next(islice(table.rows, int(unjudged[0]), None))
+        raise UnlabeledQueryError(f"pair {key!r} has no judgment to mix toward")
+    return replace(dataset, predicted=table.with_probs(oracle_probs(table.probs, labels, tau)))

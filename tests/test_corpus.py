@@ -51,6 +51,17 @@ def test_parse_run_ignores_the_stored_rank_column():
     assert parse_run(scrambled)["q1"].doc_ids == ("docA", "docB")
 
 
+def test_parse_run_rejects_a_nan_score_in_either_line_order():
+    lines = ["q1 Q0 a 1 nan sys", "q1 Q0 b 2 1.0 sys", "q1 Q0 c 3 2.0 sys"]
+    for order, lineno in ((lines, 1), (lines[::-1], 3)):
+        with pytest.raises(ParseError, match=f"line {lineno}: score 'nan' is not a number"):
+            parse_run("\n".join(order) + "\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_run("q1 Q0 a 1 -NaN sys\n")
+    infinite = "q1 Q0 a 1 -inf sys\nq1 Q0 b 2 1.0 sys\nq1 Q0 c 3 inf sys\nq1 Q0 d 4 inf sys\n"
+    assert parse_run(infinite)["q1"].doc_ids == ("c", "d", "b", "a")
+
+
 def test_parse_run_reports_line_numbers():
     with pytest.raises(ParseError, match="line 2"):
         parse_run("q1 Q0 docA 1 3.0 sys\nq1 Q0 docA 1\n")
@@ -144,6 +155,21 @@ def test_writers_emit_sorted_lf_lines():
     run_lines = write_run(ds.rankings).splitlines()
     keys = [(line.split()[0], int(line.split()[3])) for line in run_lines]
     assert keys == sorted(keys)
+
+
+def test_writers_give_the_same_bytes_for_a_dict_and_a_table():
+    ds = generate(SynthConfig(num_queries=5, docs_per_query=4, scale=LabelScale(2),
+                              truth_prior=(0.5, 0.3, 0.2), annotator_sharpness=2.5, seed=3))
+    truth = dict(reversed(list(ds.truth.items())))
+    predicted = dict(reversed(list(ds.predicted.items())))
+    text = write_qrels(truth)
+    assert text == write_qrels(ds.truth) == write_qrels(parse_qrels(text, ds.scale))
+    assert write_dists(predicted) == write_dists(ds.predicted)
+    # Unequal lengths (only a hand-built mapping has them) write each vector as it is.
+    odd = {("q", "b"): RelevanceDistribution((0.5, 0.5)), ("q", "a"): RelevanceDistribution((0.2, 0.3, 0.5))}
+    assert write_dists(odd) == ('{"qid": "q", "docid": "a", "probs": [0.2, 0.3, 0.5]}\n'
+                                '{"qid": "q", "docid": "b", "probs": [0.5, 0.5]}\n')
+    assert write_dists({}) == write_qrels({}) == ""
 
 
 def test_write_run_emits_six_fields_and_recomputable_ranks():

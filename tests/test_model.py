@@ -96,11 +96,15 @@ def _tiny_dataset():
     return Dataset(scale=scale, rankings=rankings, truth=truth, predicted=predicted)
 
 
+def _all_ranked_pairs_judged(ds, qid):
+    return all((qid, d) in ds.truth for d in ds.rankings[qid].doc_ids)
+
+
 def test_dataset_query_views():
     ds = _tiny_dataset()
     assert ds.queries() == ["q1", "q2"]
-    assert ds.is_labeled("q1")
-    assert not ds.is_labeled("q2")
+    assert _all_ranked_pairs_judged(ds, "q1")
+    assert not _all_ranked_pairs_judged(ds, "q2")
     assert ds.labeled_queries() == ["q1"]
 
 
@@ -122,7 +126,7 @@ def test_labeled_queries_ignore_judgments_outside_the_ranking():
     }
     ds = Dataset(scale=ds.scale, rankings=rankings, truth=truth, predicted=ds.predicted)
     assert ds.labeled_queries() == ["q1", "q3"]
-    assert ds.labeled_queries() == [q for q in ds.queries() if ds.is_labeled(q)]
+    assert ds.labeled_queries() == [q for q in ds.queries() if _all_ranked_pairs_judged(ds, q)]
     assert Dataset(scale=ds.scale, rankings=rankings).labeled_queries() == []
 
 
