@@ -171,13 +171,8 @@ def cmd_evaluate(args) -> int:
     pred_u = predicted_utilities(metric, dataset, queries)
     true_u = true_utilities(metric, dataset, sorted(labeled))
 
-    rows = []
-    for q in queries:
-        rows.append({
-            "query_id": q,
-            "true": true_u[q] if q in labeled else "",
-            "predicted": pred_u[q],
-        })
+    rows = [{"query_id": q, "true": true_u[q] if q in labeled else "", "predicted": pred_u[q]}
+            for q in queries]
 
     print(f"metric: {format_metric(metric)}")
     print(f"{'query':<24} {'true':>12} {'predicted':>12}")
@@ -278,10 +273,9 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
     queries = dataset.queries()
     view = _UtilityEngine(metric, dataset, queries)
     bounds = zip(*(u.tolist() for u in _per_query_bounds(view, cal)))
-    rows = []
-    for q, (lo, hi), est in zip(queries, bounds, view.per_query_utility(0.0).tolist()):
-        rows.append({"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
-                     "true": true_u.get(q, "")})
+    rows = [{"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
+             "true": true_u.get(q, "")}
+            for q, (lo, hi), est in zip(queries, bounds, view.per_query_utility(0.0).tolist())]
     print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {cal.alpha}")
     print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
     print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")

@@ -52,8 +52,7 @@ def parse_run(text: str) -> dict[str, RankedList]:
     Duplicate (query, document) pairs and unparseable scores are errors; the
     rank column is recomputed rather than trusted.
     """
-    rows: dict[str, list[tuple[float, str]]] = {}
-    seen: set[tuple[str, str]] = set()
+    rows: dict[str, dict[str, float]] = {}
     for lineno, line in _lines(text):
         fields = line.split()
         if len(fields) != 6:
@@ -65,15 +64,17 @@ def parse_run(text: str) -> dict[str, RankedList]:
             raise ParseError(f"unparseable score {score_s!r}", line=lineno) from None
         if math.isnan(score):  # NaN has no place in the score order
             raise ParseError(f"score {score_s!r} is not a number", line=lineno)
-        if (qid, docid) in seen:
+        docs = rows.setdefault(qid, {})
+        if docid in docs:
             raise ParseError(f"duplicate entry for query {qid!r} doc {docid!r}", line=lineno)
-        seen.add((qid, docid))
-        rows.setdefault(qid, []).append((score, docid))
+        docs[docid] = score
 
     rankings: dict[str, RankedList] = {}
     for qid in sorted(rows):
-        ordered = sorted(rows[qid], key=lambda sd: (-sd[0], sd[1]))
-        rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(d for _, d in ordered))
+        # Score descending; a reversed sort is stable, so ties keep doc id order.
+        docs = rows[qid]
+        ordered = sorted(sorted(docs), key=docs.__getitem__, reverse=True)
+        rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(ordered))
     return rankings
 
 

@@ -17,8 +17,8 @@ Removal at strength ``m`` from the bottom is, per label r,
 followed by renormalisation; the outer clamp keeps entries non-negative once
 ``m`` exceeds the mass below a label.  Before renormalisation the entries
 always sum to 1 - m.  The per-document expected gain under the perturbed
-distribution is non-decreasing in lambda, which is what lets calibration use
-binary search.
+distribution is non-decreasing in lambda, and its numerator is piecewise
+linear in m with knots at the row's cumulative label masses.
 
 Calibration picks the pair (lambda_low, lambda_high) on batches of labeled
 queries so that, on at most a controlled fraction of batches, the perturbed
@@ -31,6 +31,7 @@ calibration *fails explicitly* instead of returning an unsound interval.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterable, Sequence
@@ -57,8 +58,8 @@ CalibrationBatch = tuple[str, ...]
 
 # Representable ends of the open strength interval (-1, 1).
 _LAM_EDGE = 1.0 - 1e-9
-# Width to which calibration brackets each strength.
-_TOL = 1e-6
+# How far past the exact crossing a calibrated strength goes, against rounding.
+_MARGIN = 1e-10
 
 
 def _check_lambda(lam: float) -> float:
@@ -288,13 +289,9 @@ class CrcCalibration:
     def from_text(cls, text: str) -> "CrcCalibration":
         try:
             raw = json.loads(text)
+            floats = ("lambda_low", "lambda_high", "alpha", "achieved_loss_low", "achieved_loss_high")
             return cls(
-                lambda_low=float(raw["lambda_low"]),
-                lambda_high=float(raw["lambda_high"]),
-                alpha=float(raw["alpha"]),
-                num_batches=int(raw["num_batches"]),
-                achieved_loss_low=float(raw["achieved_loss_low"]),
-                achieved_loss_high=float(raw["achieved_loss_high"]),
+                **{k: float(raw[k]) for k in floats}, num_batches=int(raw["num_batches"]),
                 metric=None if raw.get("metric") is None else str(raw["metric"]),
                 max_label=None if raw.get("max_label") is None else int(raw["max_label"]),
             )
@@ -312,61 +309,83 @@ class CrcCalibration:
             )
 
 
-def _search_smallest(pred, bound: str) -> float:
-    """Smallest strength in (-1, 1) satisfying a monotone predicate.
+def _knots(probs: np.ndarray) -> np.ndarray:
+    """Sorted strengths in [-_LAM_EDGE, _LAM_EDGE] between which every row's
+    perturbed numerator is linear: 0, both ends, and each row's cumulative
+    label masses from the bottom (lambda > 0) and, negated, from the top,
+    each 1e-12 further out, past where rounding may leave a label 1e-17."""
+    up, down = (np.cumsum(p, axis=1)[:, :-1].ravel() + 1e-12 for p in (probs, probs[:, ::-1]))
+    inner = np.concatenate((up, -down))
+    return np.unique(np.concatenate((inner[np.abs(inner) < _LAM_EDGE], [-_LAM_EDGE, 0.0, _LAM_EDGE])))
 
-    ``pred(lam)`` must be False-then-True as lam increases.  Returns a probed
-    satisfying value at most ``_TOL`` above the boundary (conservative: never
-    below it).  Raises, naming the ``bound`` of strengths searched, if even
-    the top of the interval fails.
-    """
-    hi = _LAM_EDGE
-    if not pred(hi):
-        raise CalibrationInfeasibleError(
-            f"no perturbation strength {bound} satisfies the risk bound"
-        )
-    lo = -_LAM_EDGE
-    if pred(lo):
-        return lo  # the whole interval satisfies the bound
-    while hi - lo > _TOL:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
+
+def _smallest_strength(gap, knots: np.ndarray, allowed: int, bound: str) -> tuple[float, int]:
+    """Smallest strength at which at most ``allowed`` batches miss, and how
+    many miss there.  ``gap(x)`` is negative where a batch misses, changes
+    sign at most once, upward, and times 1 - |x| is linear between ``knots``.
+    Bisection over the knots, from 0, finds the segment where the misses fall
+    to ``allowed``; the order statistic of the batches' exact crossings
+    there, plus ``_MARGIN``, is confirmed by one more evaluation (else the
+    segment's end is taken).  Raises, naming ``bound``, if no knot holds."""
+    lo, hi, mid = -1, len(knots), int(np.searchsorted(knots, 0.0))
+    while hi - lo > 1:
+        g = gap(knots[mid])
+        if np.count_nonzero(g < 0) <= allowed:
+            hi, g_hi = mid, g
         else:
-            lo = mid
-    return hi
+            lo, g_lo = mid, g
+        mid = (lo + hi) // 2
+    if hi == len(knots):
+        raise CalibrationInfeasibleError(f"no perturbation strength {bound} satisfies the risk bound")
+    if lo < 0:  # the whole interval satisfies the bound
+        return float(knots[0]), int(np.count_nonzero(g_hi < 0))
+    a, b = float(knots[lo]), float(knots[hi])
+    live = (g_lo < 0) & (g_hi >= 0)
+    h_a, h_b = g_lo[live] * (1.0 - abs(a)), g_hi[live] * (1.0 - abs(b))
+    cross = np.where(g_lo < 0, np.inf, -np.inf)
+    cross[live] = a + (b - a) * h_a / (h_a - h_b)
+    x = float(np.partition(cross, -allowed - 1)[-allowed - 1]) + _MARGIN
+    if x <= knots[-1] and (at_x := int(np.count_nonzero(gap(x) < 0))) <= allowed:
+        return x, at_x
+    return b, int(np.count_nonzero(g_hi < 0))
 
 
 def _batch_means(index: np.ndarray, sizes: np.ndarray, n_queries: int):
-    """The map from per-query values to per-batch means, for batches given as
-    rows of query positions (rows padded with ``n_queries``).
+    """For batches given as rows of query positions (rows padded with
+    ``n_queries``): a mask of the positions some batch draws, and the map
+    from the drawn queries' values, in position order, to per-batch means.
 
     When the batches are at least as long as the query list, an M x n_q
-    matrix of per-batch query weights (count / batch size) makes each call
-    one matrix-vector product.  Shorter batches, such as singletons, are
-    summed column by column in draw order instead, so memory stays
-    O(M * min(batch size, n_q)).
+    matrix of draw counts makes each call one matrix-vector product.
+    Shorter batches, such as singletons, are summed column by column
+    instead, so memory stays O(M * min(batch size, n_q)).
     """
-    m, b = index.shape
+    (m, b), sizes = index.shape, sizes.astype(float)
     if n_queries <= b:
-        cells = np.arange(m)[:, None] * (n_queries + 1) + index
-        counts = np.bincount(cells.ravel(), minlength=m * (n_queries + 1))
-        weights = counts.reshape(m, n_queries + 1)[:, :n_queries] / sizes[:, None]
-        return lambda values: weights @ values
+        counts = np.zeros((m, n_queries + 1))
+        cells, rows = counts.ravel(), np.arange(0, counts.size, n_queries + 1)
+        for j in range(b):  # a column of the index names each cell at most once
+            cells[rows + index[:, j]] += 1.0
+        drawn = (np.ones(m) @ counts)[:n_queries] > 0
+        counts = counts[:, :n_queries] if drawn.all() else counts[:, np.flatnonzero(drawn)]
+        return drawn, lambda values: counts @ values / sizes
+    drawn = np.bincount(index.ravel(), minlength=n_queries + 1)[:n_queries] > 0
 
     def means(values: np.ndarray) -> np.ndarray:
-        values = np.append(values, 0.0)  # padding reads 0
-        total = values[index[:, 0]]
+        full = np.zeros(n_queries + 1)  # padding reads 0
+        full[:-1][drawn] = values
+        total = full[index[:, 0]]
         for j in range(1, b):
-            total += values[index[:, j]]
+            total += full[index[:, j]]
         return total / sizes
 
-    return means
+    return drawn, means
 
 
-def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[CalibrationBatches, float]:
-    """The batches in index form and their per-side risk threshold, after
-    refusing an alpha, batch set or batch count that cannot calibrate."""
+def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[CalibrationBatches, int]:
+    """The batches in index form and the most of them that may miss on each
+    side (the largest count c with c / M under the per-side risk threshold),
+    after refusing an alpha, batch set or batch count that cannot calibrate."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     batches = CalibrationBatches.of(batches)
@@ -386,7 +405,7 @@ def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[Ca
         raise TooFewBatchesError(
             f"risk threshold {thr} is non-positive for {num_batches} batches at alpha={alpha}"
         )
-    return batches, thr
+    return batches, int(np.searchsorted(np.arange(num_batches + 1) / num_batches, thr)) - 1
 
 
 def calibrate(
@@ -399,9 +418,10 @@ def calibrate(
 
     lambda_high is the smallest strength whose fraction of batches with
     perturbed utility *below* the true batch utility stays under the risk
-    threshold; lambda_low mirrors it on the other side.  Both are found by
-    binary search to 1e-6 and rounded conservatively (lambda_high up,
-    lambda_low down).  If the searches cross, lambda_low is nudged just under
+    threshold; lambda_low mirrors it on the other side.  Each is the order
+    statistic of the exact per-batch crossing strengths, moved 1e-10 outward
+    (lambda_high up, lambda_low down) to where the perturbed utilities
+    confirm the bound.  If the two cross, lambda_low is nudged just under
     lambda_high.
 
     ``batches`` is the output of :func:`build_batches` or any sequence of
@@ -426,45 +446,39 @@ def _calibrate(
 ) -> CrcCalibration:
     """:func:`calibrate` on a view that holds at least every query the
     batches draw, stamped with the view's metric and label scale."""
-    batches, thr = _checked_batches(batches, alpha)
-    # Only the pool queries some batch draws take part, renumbered in order.
-    n_pool = len(batches.pool)
-    drawn = np.bincount(batches.index.ravel(), minlength=n_pool + 1)[:n_pool] > 0
+    batches, allowed = _checked_batches(batches, alpha)
+    # Only the pool queries some batch draws take part.
+    drawn, batch_mean = _batch_means(batches.index, batches.sizes, len(batches.pool))
     qids = [q for q, d in zip(batches.pool, drawn.tolist()) if d]
-    index = batches.index
-    if len(qids) < n_pool:
-        index = np.append(np.cumsum(drawn) - 1, len(qids))[index]
     engine = view if view.query_ids == qids else view.subset(qids)
-    batch_mean = _batch_means(index, batches.sizes, len(qids))
     batch_true = batch_mean(engine.true_utilities())
 
-    def loss_high(lam: float) -> float:
-        return float(np.mean(batch_mean(engine.per_query_utility(lam)) < batch_true))
+    @functools.cache  # the two searches share their first evaluation, at 0
+    def gap(lam: float) -> np.ndarray:
+        """Perturbed less true utility of every batch: negative where the
+        high side misses, positive where the low side does."""
+        return batch_mean(engine.per_query_utility(lam)) - batch_true
 
-    def loss_low(lam: float) -> float:
-        return float(np.mean(batch_mean(engine.per_query_utility(lam)) > batch_true))
-
-    lam_high = _search_smallest(lambda l: loss_high(l) < thr, "below 1")
+    m = len(batches)
+    knots = _knots(engine.probs)
+    lam_high, miss_high = _smallest_strength(gap, knots, allowed, "below 1")
     # lambda_low is the mirror image: the largest strength whose low-side
     # loss is under the threshold, found as the negated smallest -lambda
     # (subtracted from 0.0, so a zero strength stays +0.0).
-    lam_low = 0.0 - _search_smallest(lambda m: loss_low(-m) < thr, "above -1")
+    low, miss_low = _smallest_strength(lambda x: -gap(-x), -knots[::-1], allowed, "above -1")
+    lam_low = 0.0 - low
     if lam_low >= lam_high:
         # Degenerate data (e.g. predictions exactly matching truth) can leave
         # both searches unconstrained; keep an ordered pair just under the
         # upper strength.  Widening the low side can only reduce its loss.
         nudged = lam_high - 1e-9
         lam_low = nudged if nudged > -1.0 else 0.5 * (lam_high + -1.0)
+        miss_low = int(np.count_nonzero(gap(lam_low) > 0))
 
     return CrcCalibration(
-        lambda_low=lam_low,
-        lambda_high=lam_high,
-        alpha=alpha,
-        num_batches=len(batches),
-        achieved_loss_low=loss_low(lam_low),
-        achieved_loss_high=loss_high(lam_high),
-        metric=format_metric(view.spec),
-        max_label=view.scale.max_label,
+        lambda_low=lam_low, lambda_high=lam_high, alpha=alpha, num_batches=m,
+        achieved_loss_low=miss_low / m, achieved_loss_high=miss_high / m,
+        metric=format_metric(view.spec), max_label=view.scale.max_label,
     )
 
 
@@ -500,11 +514,7 @@ def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
     lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
     est = float(view.per_query_utility(0.0).mean())
     return CiReport(
-        method="crc",
-        estimate=est,
-        lower=min(lo, hi),
-        upper=max(lo, hi),
-        alpha=calibration.alpha,
+        method="crc", estimate=est, lower=min(lo, hi), upper=max(lo, hi), alpha=calibration.alpha,
         diagnostics={
             "lambda_low": calibration.lambda_low,
             "lambda_high": calibration.lambda_high,

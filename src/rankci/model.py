@@ -201,12 +201,7 @@ class RankedList:
     def __post_init__(self):
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
         if len(set(self.doc_ids)) != len(self.doc_ids):
-            seen, dup = set(), None
-            for d in self.doc_ids:
-                if d in seen:
-                    dup = d
-                    break
-                seen.add(d)
+            dup = next(d for i, d in enumerate(self.doc_ids) if d in self.doc_ids[:i])
             raise ValueError(f"duplicate doc_id {dup!r} in ranking for query {self.query_id!r}")
 
     def __len__(self) -> int:

@@ -71,6 +71,26 @@ def test_parse_run_reports_line_numbers():
         parse_run("q1 Q0 docA 1 3.0 sys\nq1 Q0 docA 2 2.0 sys\n")
 
 
+def test_parse_run_names_the_line_of_a_duplicate_pair_only():
+    # The same document under another query is not a duplicate.
+    text = "q1 Q0 a 1 3.0 s\nq2 Q0 a 1 3.0 s\nq2 Q0 b 2 1.0 s\nq1 Q0 b 2 2.0 s\nq2 Q0 a 3 0.5 s\n"
+    with pytest.raises(ParseError, match="line 5: duplicate entry for query 'q2' doc 'a'"):
+        parse_run(text)
+    assert parse_run(text.rsplit("q2 Q0 a 3", 1)[0])["q2"].doc_ids == ("a", "b")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(scores=st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 2.0, 2.5, np.inf]),
+                       min_size=1, max_size=30),
+       seed=st.integers(0, 1000))
+def test_parse_run_orders_ties_by_doc_id_whatever_the_line_order(scores, seed):
+    docs = [f"d{i:02d}" for i in range(len(scores))]
+    lines = [f"q1 Q0 {d} 1 {s!r} sys" for d, s in zip(docs, scores)]
+    np.random.default_rng(seed).shuffle(lines)
+    expected = tuple(d for _, d in sorted(zip(scores, docs), key=lambda sd: (-sd[0], sd[1])))
+    assert parse_run("\n".join(lines) + "\n")["q1"].doc_ids == expected
+
+
 def test_parse_qrels_checks_the_scale():
     truth = parse_qrels(QRELS_TEXT, LabelScale(2))
     assert truth[("q1", "docA")] == Judgment(2)

@@ -1,14 +1,19 @@
-"""Property tests of risk-controlled calibration on small synthetic datasets.
+"""Property tests of risk-controlled calibration on small synthetic datasets
+and on Dirichlet-drawn predictions with many distinct cumulative masses.
 
 Run derandomized, so every run draws the same examples."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankci.crc import (
     _LAM_EDGE,
-    _TOL,
+    _knots,
+    _perturb_rows,
     _UtilityEngine,
     build_batches,
     calibrate,
@@ -16,8 +21,8 @@ from rankci.crc import (
     utility_crc,
 )
 from rankci.errors import CalibrationInfeasibleError
-from rankci.metrics import MetricSpec, query_utility_true
-from rankci.model import LabelScale
+from rankci.metrics import MetricSpec, gain_vector, query_utility_true
+from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -80,15 +85,15 @@ def test_achieved_losses_match_a_per_batch_recount(data, num_batches, batch_size
 
     assert losses(cal.lambda_high)[0] == cal.achieved_loss_high
     assert losses(cal.lambda_low)[1] == cal.achieved_loss_low
-    # Tight as well as sound: one search tolerance less strength breaks the
-    # bound, except where a search stopped at an edge or lambda_low was
-    # nudged under lambda_high.
+    # Tight as well as sound: 1e-9 less strength breaks the bound, except
+    # where a search stopped at an edge or lambda_low was nudged under
+    # lambda_high.
     thr = calibration_threshold(0.1, len(batches))
     if cal.lambda_high > -_LAM_EDGE:
-        assert losses(max(cal.lambda_high - _TOL, -_LAM_EDGE))[0] >= thr
+        assert losses(max(cal.lambda_high - 1e-9, -_LAM_EDGE))[0] >= thr
     nudged = cal.lambda_high == -_LAM_EDGE or cal.lambda_high - cal.lambda_low <= 2e-9
     if cal.lambda_low < _LAM_EDGE and not nudged:
-        assert losses(min(cal.lambda_low + _TOL, _LAM_EDGE))[1] >= thr
+        assert losses(min(cal.lambda_low + 1e-9, _LAM_EDGE))[1] >= thr
 
 
 @PROPERTY
@@ -99,3 +104,152 @@ def test_per_query_perturbed_utility_is_non_decreasing_in_strength(data, lams):
     engine = _UtilityEngine(spec, ds, ds.queries())
     values = np.array([engine.per_query_utility(lam) for lam in sorted(lams)])
     assert (np.diff(values, axis=0) >= -1e-12).all()
+
+
+# --- many knots: the exact search against a scalar reference -----------------
+
+
+def _dirichlet_dataset(seed, num_queries, docs=10, max_label=3):
+    """Uniformly random labels and Dirichlet(1, ..., 1) predictions: every row
+    brings max_label distinct cumulative masses per side."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(max_label + 1), size=(num_queries, docs))
+    labels = rng.integers(0, max_label + 1, size=(num_queries, docs))
+    rankings, truth, predicted = {}, {}, {}
+    for i in range(num_queries):
+        qid = f"q{i:03d}"
+        doc_ids = tuple(f"d{j:03d}" for j in range(docs))
+        rankings[qid] = RankedList(qid, doc_ids)
+        for j, doc in enumerate(doc_ids):
+            truth[(qid, doc)] = Judgment(int(labels[i, j]))
+            predicted[(qid, doc)] = RelevanceDistribution(tuple(probs[i, j].tolist()))
+    return Dataset(LabelScale(max_label), rankings, truth, predicted)
+
+
+def _crossing(f, target):
+    """Smallest strength in [-_LAM_EDGE, _LAM_EDGE] at which the
+    non-decreasing ``f`` reaches ``target``, to 1e-12, by scalar bisection;
+    -inf if it already has at the lower end and +inf if it never does."""
+    lo, hi = -_LAM_EDGE, _LAM_EDGE
+    if f(lo) >= target:
+        return -math.inf
+    if f(hi) < target:
+        return math.inf
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) >= target else (mid, hi)
+    return hi
+
+
+def _reference_strengths(spec, batches, ds, alpha):
+    """(lambda_low, lambda_high) as order statistics of per-batch crossing
+    strengths, each found by bisection through the public utility_crc."""
+    m = len(batches)
+    allowed = max(c for c in range(m + 1) if c / m < calibration_threshold(alpha, m))
+    high, low = [], []
+    for batch in batches:
+        true_mean = float(np.mean([query_utility_true(spec, ds.rankings[q], ds.truth)
+                                   for q in batch]))
+        high.append(_crossing(lambda lam: utility_crc(spec, batch, ds, lam), true_mean))
+        # The low side misses where the utility exceeds the truth: mirrored.
+        low.append(-_crossing(lambda x: -utility_crc(spec, batch, ds, -x), -true_mean))
+    return sorted(low)[allowed], sorted(high)[m - allowed - 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), lams=st.lists(st.floats(-0.99, 0.99), min_size=1,
+                                                  max_size=8))
+def test_perturbed_expected_gain_is_a_piecewise_linear_numerator_over_one_minus_strength(
+        seed, lams):
+    probs = np.random.default_rng(seed).dirichlet(np.ones(4), size=330)
+    gains = gain_vector(MetricSpec("dcg", 10, "exponential"), LabelScale(3))
+    assert len(_knots(probs)) > 1000
+    # From the bottom, a row's numerator falls linearly between its cumulative
+    # masses, through the tail sums of p * g, to 0 at strength 1; from the top
+    # it falls through the head sums.
+    up_masses, up_values = np.cumsum(probs, axis=1), np.cumsum((probs * gains)[:, ::-1], axis=1)
+    down_masses = np.cumsum(probs[:, ::-1], axis=1)
+    down_values = np.cumsum(probs * gains, axis=1)
+    for lam in lams:
+        masses, values = (up_masses, up_values) if lam >= 0 else (down_masses, down_values)
+        numerators = np.array([
+            np.interp(abs(lam), np.append(0.0, mass[:-1]).tolist() + [1.0],
+                      value[::-1].tolist() + [0.0])
+            for mass, value in zip(masses, values)
+        ])
+        np.testing.assert_allclose(numerators / (1.0 - abs(lam)),
+                                   _perturb_rows(probs, lam) @ gains, rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10_000), num_queries=st.integers(18, 25),
+       num_batches=st.integers(20, 30), batch_size=st.integers(1, 6),
+       spec=st.sampled_from([MetricSpec("dcg", 10, "exponential"),
+                             MetricSpec("precision", 10, "identity")]))
+def test_calibrated_strengths_are_order_statistics_of_per_batch_crossings(
+        seed, num_queries, num_batches, batch_size, spec):
+    ds = _dirichlet_dataset(seed, num_queries)
+    assert len(_knots(_UtilityEngine(spec, ds, ds.queries()).probs)) > 1000
+    batches = list(build_batches(ds.queries(), num_batches=num_batches, batch_size=batch_size,
+                                 seed=seed))
+    ref_low, ref_high = _reference_strengths(spec, batches, ds, 0.2)
+    if not (ref_high < math.inf and ref_low > -math.inf):
+        with pytest.raises(CalibrationInfeasibleError):
+            calibrate(spec, batches, ds, 0.2)
+        return
+    cal = calibrate(spec, batches, ds, 0.2)
+    assert abs(cal.lambda_high - max(ref_high, -_LAM_EDGE)) <= 1e-9
+    if ref_low < ref_high:
+        assert abs(cal.lambda_low - min(ref_low, _LAM_EDGE)) <= 1e-9
+
+
+def _counting_probes(monkeypatch):
+    """A list that grows by one for every perturbed evaluation of a view."""
+    probes = []
+    evaluate = _UtilityEngine.per_query_utility
+
+    def counted(self, lam):
+        probes.append(lam)
+        return evaluate(self, lam)
+
+    monkeypatch.setattr(_UtilityEngine, "per_query_utility", counted)
+    return probes
+
+
+def test_singleton_batches_take_the_exact_search_and_match_the_reference(monkeypatch):
+    ds = _dirichlet_dataset(3, 25)
+    spec = MetricSpec("dcg", 10, "exponential")
+    batches = build_batches(ds.queries(), mode="per_query")
+    probes = _counting_probes(monkeypatch)
+    cal = calibrate(spec, batches, ds, 0.2)
+    # Two knot bisections and a confirming evaluation each, where a blind
+    # bisection to 1e-9 would take about 30 steps per side.
+    knots = len(_knots(_UtilityEngine(spec, ds, ds.queries()).probs))
+    assert knots > 1000
+    assert len(probes) <= 2 * (math.ceil(math.log2(knots + 1)) + 1)
+    monkeypatch.undo()
+    ref_low, ref_high = _reference_strengths(spec, list(batches), ds, 0.2)
+    assert abs(cal.lambda_high - ref_high) <= 1e-9
+    assert abs(cal.lambda_low - ref_low) <= 1e-9
+
+
+def test_strength_stops_at_the_lower_edge_when_the_whole_interval_satisfies_the_bound():
+    # Every true label is 0, so no perturbed utility falls below the truth:
+    # the high side holds from the lower edge on, and lambda_low is nudged
+    # under it.
+    rankings, truth, predicted = {}, {}, {}
+    for i in range(12):
+        qid = f"q{i}"
+        rankings[qid] = RankedList(qid, ("d0", "d1"))
+        for j, doc in enumerate(("d0", "d1")):
+            truth[(qid, doc)] = Judgment(0)
+            predicted[(qid, doc)] = RelevanceDistribution((0.5 + 0.03 * i, 0.5 - 0.03 * i - 0.01 * j,
+                                                           0.01 * j))
+    ds = Dataset(LabelScale(2), rankings, truth, predicted)
+    spec = MetricSpec("precision", 2, "identity")
+    batches = build_batches(ds.queries(), num_batches=40, batch_size=3, seed=4)
+    cal = calibrate(spec, batches, ds, 0.1)
+    assert cal.lambda_high == -_LAM_EDGE
+    assert cal.achieved_loss_high == 0.0
+    assert -1.0 < cal.lambda_low < cal.lambda_high
+    assert cal.achieved_loss_low < calibration_threshold(0.1, 40)
