@@ -19,7 +19,6 @@ from .corpus import (
     write_run,
 )
 from .crc import (
-    CalibrationBatch,
     CalibrationBatches,
     CrcCalibration,
     build_batches,
@@ -77,7 +76,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationBatch",
     "CalibrationBatches",
     "CalibrationInfeasibleError",
     "CalibrationMismatchError",

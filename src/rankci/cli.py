@@ -34,6 +34,7 @@ from .corpus import build_dataset, infer_scale_from_dists, parse_qrels, parse_ru
 from .crc import (CrcCalibration, _per_query_bounds, _UtilityEngine, build_batches, calibrate,
                   crc_ci)
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
+# sweep is not called here (sweep_plan calls it); bench/tracing.py patches it.
 from .harness import (
     PLAN_KEYS,
     ROW_FIELDS,
@@ -45,6 +46,7 @@ from .harness import (
     run_plan,
     str_list,
     sweep,
+    sweep_plan,
     write_csv,
 )
 from .metrics import (
@@ -299,7 +301,8 @@ _SWEEP_KEYS = {"n_labeled": "n_grid", "beta": "beta_grid", "tau": "tau_grid"}
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    # Flag > config entry > the sweep's own defaults > default_plan().
+    # Flag > config entry > the sweep's own defaults (a quick interactive run,
+    # not the acceptance-scale plan) > default_plan().
     values = {"repeats": 50, "n_grid": (20,)}
     for flag in vars(args):
         key = _SWEEP_KEYS.get(flag, flag)
@@ -310,14 +313,7 @@ def cmd_sweep(args) -> int:
     plan = build_plan(values)
     out_path = _resolve(args, cfg, "out", str, None)
 
-    dataset = generate(plan.synth)
-    rows = sweep(
-        dataset, plan.metric,
-        n_grid=plan.n_grid, beta_grid=plan.beta_grid, tau_grid=plan.tau_grid,
-        methods=plan.methods, repeats=plan.repeats, alpha=plan.alpha,
-        num_batches=plan.num_batches, seed=plan.seed, split_seed=plan.split_seed,
-        workers=plan.workers,
-    )
+    rows = sweep_plan(generate(plan.synth), plan)
     write_csv(out_path if out_path is not None else sys.stdout, ROW_FIELDS, rows)
     if out_path is not None:
         print(f"wrote {len(rows)} rows to {out_path}")

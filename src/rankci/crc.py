@@ -53,9 +53,6 @@ from .metrics import query_utility_true
 from .model import CiReport, Dataset, LabelScale, RelevanceDistribution
 from .seeding import stream
 
-# A calibration batch is a non-empty multiset of labeled query ids.
-CalibrationBatch = tuple[str, ...]
-
 # Representable ends of the open strength interval (-1, 1).
 _LAM_EDGE = 1.0 - 1e-9
 # How far past the exact crossing a calibrated strength goes, against rounding.
@@ -144,59 +141,35 @@ def utility_crc(spec: MetricSpec, queries: Iterable[str], dataset: Dataset, lam:
     return float(_UtilityEngine(spec, dataset, qs).per_query_utility(lam).mean())
 
 
-class CalibrationBatches(Sequence[CalibrationBatch]):
-    """Calibration batches stored as a sorted query pool and an index matrix.
+class CalibrationBatches:
+    """Calibration batches of equal length, stored as a sorted query pool and
+    a read-only M x b index matrix: row i holds the pool positions of batch
+    i's ids in draw order.  Iterates as query-id tuples."""
 
-    Row i of ``index`` holds the pool positions of batch i's ids in draw
-    order and ``sizes[i]`` is its length; the shorter rows of a ragged set
-    are padded with ``len(pool)``.  Reads as the list of query-id tuples it
-    stands for: ``len``, indexing, iteration, ``reversed`` and ``==`` against
-    a list of tuples all work.
-    """
-
-    def __init__(self, pool: Sequence[str], index: np.ndarray, sizes: np.ndarray | None = None):
+    def __init__(self, pool: Sequence[str], index: np.ndarray):
         self.pool = tuple(pool)
         self.index = np.asarray(index, dtype=np.intp)
-        if sizes is None:
-            sizes = np.full(len(self.index), self.index.shape[1], dtype=np.intp)
-        self.sizes = sizes
         self.index.setflags(write=False)
-        self.sizes.setflags(write=False)
 
     @classmethod
     def of(cls, batches: Iterable[Iterable[str]]) -> "CalibrationBatches":
-        """The index form of any iterable of query-id batches, ragged or not."""
+        """The index form of an iterable of equally long query-id batches;
+        raises ``ValueError`` for batches of different lengths."""
         if isinstance(batches, cls):
             return batches
         rows = [tuple(b) for b in batches]
+        if len({len(b) for b in rows}) > 1:
+            raise ValueError("calibration batches must all have the same length")
         pool = sorted({q for b in rows for q in b})
         pos = {q: i for i, q in enumerate(pool)}
-        sizes = np.array([len(b) for b in rows], dtype=np.intp)
-        index = np.full((len(rows), int(sizes.max(initial=0))), len(pool), dtype=np.intp)
-        for i, b in enumerate(rows):
-            index[i, : len(b)] = [pos[q] for q in b]
-        return cls(pool, index, sizes)
+        index = np.array([[pos[q] for q in b] for b in rows], dtype=np.intp)
+        return cls(pool, index.reshape(len(rows), len(rows[0]) if rows else 0))
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CalibrationBatches(self.pool, self.index[i], self.sizes[i])
-        return tuple(self.pool[j] for j in self.index[i, : self.sizes[i]].tolist())
-
     def __iter__(self):
-        ids = np.array(self.pool + ("",), dtype=object)[self.index]  # padding reads ""
-        for row, size in zip(ids.tolist(), self.sizes.tolist()):
-            yield tuple(row[:size])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"CalibrationBatches({len(self)} batches over {len(self.pool)} queries)"
+        return map(tuple, np.array(self.pool, dtype=object)[self.index].tolist())
 
 
 def build_batches(
@@ -350,36 +323,30 @@ def _smallest_strength(gap, knots: np.ndarray, allowed: int, bound: str) -> tupl
     return b, int(np.count_nonzero(g_hi < 0))
 
 
-def _batch_means(index: np.ndarray, sizes: np.ndarray, n_queries: int):
-    """For batches given as rows of query positions (rows padded with
-    ``n_queries``): a mask of the positions some batch draws, and the map
-    from the drawn queries' values, in position order, to per-batch means.
+def _batch_means(index: np.ndarray, n_queries: int):
+    """The map from the values of ``n_queries`` queries, in position order, to
+    the mean of each batch, for batches given as rows of query positions.
 
     When the batches are at least as long as the query list, an M x n_q
     matrix of draw counts makes each call one matrix-vector product.
     Shorter batches, such as singletons, are summed column by column
     instead, so memory stays O(M * min(batch size, n_q)).
     """
-    (m, b), sizes = index.shape, sizes.astype(float)
+    m, b = index.shape
     if n_queries <= b:
-        counts = np.zeros((m, n_queries + 1))
-        cells, rows = counts.ravel(), np.arange(0, counts.size, n_queries + 1)
+        counts = np.zeros((m, n_queries))
+        cells, rows = counts.ravel(), np.arange(0, counts.size, n_queries)
         for j in range(b):  # a column of the index names each cell at most once
             cells[rows + index[:, j]] += 1.0
-        drawn = (np.ones(m) @ counts)[:n_queries] > 0
-        counts = counts[:, :n_queries] if drawn.all() else counts[:, np.flatnonzero(drawn)]
-        return drawn, lambda values: counts @ values / sizes
-    drawn = np.bincount(index.ravel(), minlength=n_queries + 1)[:n_queries] > 0
+        return lambda values: counts @ values / b
 
     def means(values: np.ndarray) -> np.ndarray:
-        full = np.zeros(n_queries + 1)  # padding reads 0
-        full[:-1][drawn] = values
-        total = full[index[:, 0]]
+        total = values[index[:, 0]]
         for j in range(1, b):
-            total += full[index[:, j]]
-        return total / sizes
+            total += values[index[:, j]]
+        return total / b
 
-    return drawn, means
+    return means
 
 
 def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[CalibrationBatches, int]:
@@ -392,7 +359,7 @@ def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[Ca
     num_batches = len(batches)
     if num_batches == 0:
         raise InsufficientDataError("no calibration batches given")
-    if (batches.sizes == 0).any():
+    if batches.index.shape[1] == 0:
         raise ValueError("calibration batches must be non-empty")
     needed = required_batches(alpha)
     if num_batches < needed:
@@ -424,9 +391,9 @@ def calibrate(
     confirm the bound.  If the two cross, lambda_low is nudged just under
     lambda_high.
 
-    ``batches`` is the output of :func:`build_batches` or any sequence of
-    query-id batches (which may differ in length).  The result is stamped
-    with the metric and label scale.
+    ``batches`` is the output of :func:`build_batches` or a plain list of
+    equally long query-id batches; batches of different lengths raise
+    ``ValueError``.  The result is stamped with the metric and label scale.
 
     Raises :class:`TooFewBatchesError` when the batch count makes the
     threshold non-positive, and :class:`CalibrationInfeasibleError` when no
@@ -444,13 +411,11 @@ def _calibrate(
     view: _UtilityEngine,
     alpha: float,
 ) -> CrcCalibration:
-    """:func:`calibrate` on a view that holds at least every query the
-    batches draw, stamped with the view's metric and label scale."""
+    """:func:`calibrate` on a view that holds at least every query of the
+    batches' pool, stamped with the view's metric and label scale."""
     batches, allowed = _checked_batches(batches, alpha)
-    # Only the pool queries some batch draws take part.
-    drawn, batch_mean = _batch_means(batches.index, batches.sizes, len(batches.pool))
-    qids = [q for q, d in zip(batches.pool, drawn.tolist()) if d]
-    engine = view if view.query_ids == qids else view.subset(qids)
+    batch_mean = _batch_means(batches.index, len(batches.pool))
+    engine = view if view.query_ids == list(batches.pool) else view.subset(batches.pool)
     batch_true = batch_mean(engine.true_utilities())
 
     @functools.cache  # the two searches share their first evaluation, at 0

@@ -103,17 +103,22 @@ class ExperimentPlan:
             raise ValueError("a plan needs exactly one dataset source: synth or run/qrels/dists paths")
         if file_source and not (self.run_path and self.qrels_path and self.dists_path):
             raise ValueError("a file-sourced plan needs run, qrels and dists paths")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected a subset of {METHODS}")
-        if not self.n_grid or any(n < 2 for n in self.n_grid):
-            raise ValueError("n_grid must contain integers >= 2")
+        _check_sweep_options(self.alpha, self.repeats, self.workers, self.methods, self.n_grid)
+
+
+def _check_sweep_options(alpha: float, repeats: int, workers: int, methods: tuple[str, ...],
+                        n_grid: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` for sweep options no sweep can run with."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not methods or not set(methods) <= set(METHODS):
+        raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {methods!r}")
+    if not n_grid or any(n < 2 for n in n_grid):
+        raise ValueError("n_grid must contain integers >= 2")
 
 
 def default_plan(**overrides) -> ExperimentPlan:
@@ -173,7 +178,9 @@ def sweep(
     All methods at the same grid point and repeat see the same labeled draw
     from the validation half; coverage is judged against the test half's true
     utility.  Deterministic for a given seed, independent of ``workers``.
+    Options no sweep can run with raise ``ValueError`` before any work.
     """
+    _check_sweep_options(alpha, repeats, workers, methods, n_grid)
     pool = dataset.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
     val_arr = np.array(validation)
@@ -238,6 +245,14 @@ def sweep(
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["method"], r["n"], r["beta"], r["tau"], r["repeat"]))
     return rows
+
+
+def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[dict]:
+    """:func:`sweep` over ``dataset`` with the metric, grids and options of ``plan``."""
+    return sweep(dataset, plan.metric, n_grid=plan.n_grid, beta_grid=plan.beta_grid,
+                 tau_grid=plan.tau_grid, methods=plan.methods, repeats=plan.repeats,
+                 alpha=plan.alpha, num_batches=plan.num_batches, seed=plan.seed,
+                 split_seed=plan.split_seed, workers=plan.workers)
 
 
 def aggregate(rows: list[dict]) -> list[dict]:
@@ -309,13 +324,7 @@ def run_plan(plan: ExperimentPlan) -> Path:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = sweep(
-        dataset, plan.metric,
-        n_grid=plan.n_grid, beta_grid=plan.beta_grid, tau_grid=plan.tau_grid,
-        methods=plan.methods, repeats=plan.repeats, alpha=plan.alpha,
-        num_batches=plan.num_batches, seed=plan.seed, split_seed=plan.split_seed,
-        workers=plan.workers,
-    )
+    rows = sweep_plan(dataset, plan)
     write_csv(out_dir / "rows.csv", ROW_FIELDS, rows)
 
     aggs = aggregate(rows)

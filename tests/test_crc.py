@@ -155,8 +155,8 @@ def test_build_batches_bootstrap_mode():
     assert len(batches) == 50
     assert all(len(b) == 6 for b in batches)
     assert all(q in set(pool) for b in batches for q in b)
-    assert batches == build_batches(pool, num_batches=50, batch_size=6, seed=4)
-    assert batches != build_batches(pool, num_batches=50, batch_size=6, seed=5)
+    assert list(batches) == list(build_batches(pool, num_batches=50, batch_size=6, seed=4))
+    assert list(batches) != list(build_batches(pool, num_batches=50, batch_size=6, seed=5))
 
 
 def test_build_batches_default_size_is_pool_size():
@@ -167,18 +167,18 @@ def test_build_batches_default_size_is_pool_size():
 
 def test_build_batches_per_query_mode():
     batches = build_batches(["c", "a", "b"], mode="per_query")
-    assert batches == [("a",), ("b",), ("c",)]
+    assert list(batches) == [("a",), ("b",), ("c",)]
 
 
 def test_batches_read_as_a_list_of_tuples():
     batches = build_batches(["c", "a", "b"], num_batches=6, batch_size=4, seed=2)
     as_list = list(batches)
+    assert len(batches) == 6
     assert all(isinstance(b, tuple) and len(b) == 4 for b in as_list)
-    assert batches[-1] == as_list[-1]
-    assert list(reversed(batches)) == as_list[::-1]
-    assert batches[1:3] == as_list[1:3]
+    assert list(CalibrationBatches.of(as_list)) == as_list
     ragged = [("b", "a"), ("c",), ("a", "a", "c")]
-    assert CalibrationBatches.of(ragged) == ragged
+    with pytest.raises(ValueError):
+        CalibrationBatches.of(ragged)
     with pytest.raises(ValueError):
         batches.index[0, 0] = 1  # read-only
 
@@ -228,6 +228,17 @@ def test_calibrate_rejects_too_few_batches():
         calibrate(DCG, batches, ds, alpha=0.05)
 
 
+def test_calibrate_refuses_ragged_and_empty_batches():
+    ds = _synth()
+    batches = list(build_batches(ds.queries(), num_batches=30, batch_size=4, seed=0))
+    with pytest.raises(ValueError, match="same length"):
+        calibrate(DCG, batches[:-1] + [batches[-1][:3]], ds, alpha=0.1)
+    with pytest.raises(ValueError, match="non-empty"):
+        calibrate(DCG, [()] * 30, ds, alpha=0.1)
+    with pytest.raises(InsufficientDataError):
+        calibrate(DCG, [], ds, alpha=0.1)
+
+
 def test_calibrate_succeeds_with_perfect_predictions_and_minimum_batches():
     # An infinitely sharp annotator predicts the exact one-hot truth, so the
     # perturbed utility equals the true utility at every strength and both
@@ -265,7 +276,7 @@ def test_calibrate_is_invariant_to_batch_order():
     ds = _synth()
     batches = build_batches(ds.queries(), num_batches=40, batch_size=10, seed=6)
     a = calibrate(DCG, batches, ds, alpha=0.05)
-    b = calibrate(DCG, list(reversed(batches)), ds, alpha=0.05)
+    b = calibrate(DCG, list(batches)[::-1], ds, alpha=0.05)
     assert (a.lambda_low, a.lambda_high) == (b.lambda_low, b.lambda_high)
 
 

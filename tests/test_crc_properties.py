@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankci.crc import (
     _LAM_EDGE,
+    _batch_means,
     _knots,
     _perturb_rows,
     _UtilityEngine,
@@ -60,19 +61,17 @@ def test_calibrate_is_the_same_on_built_batches_and_on_a_plain_list(data, num_ba
     batches = build_batches(ds.queries(), num_batches=num_batches, batch_size=batch_size,
                             seed=seed)
     as_list = [tuple(b) for b in batches]
-    assert batches == as_list
+    assert list(batches) == as_list
     assert _calibrate_or_reject(spec, batches, ds, 0.1) == calibrate(spec, as_list, ds, 0.1)
 
 
 @PROPERTY
 @given(data=datasets(), num_batches=st.integers(20, 60), batch_size=st.integers(1, 20),
-       seed=st.integers(0, 1000), ragged=st.booleans())
-def test_achieved_losses_match_a_per_batch_recount(data, num_batches, batch_size, seed, ragged):
+       seed=st.integers(0, 1000))
+def test_achieved_losses_match_a_per_batch_recount(data, num_batches, batch_size, seed):
     spec, ds = data
     batches = list(build_batches(ds.queries(), num_batches=num_batches,
                                  batch_size=batch_size, seed=seed))
-    if ragged:
-        batches = [b[: 1 + i % len(b)] for i, b in enumerate(batches)]
     cal = _calibrate_or_reject(spec, batches, ds, 0.1)
     true_means = [float(np.mean([query_utility_true(spec, ds.rankings[q], ds.truth)
                                  for q in batch])) for batch in batches]
@@ -104,6 +103,22 @@ def test_per_query_perturbed_utility_is_non_decreasing_in_strength(data, lams):
     engine = _UtilityEngine(spec, ds, ds.queries())
     values = np.array([engine.per_query_utility(lam) for lam in sorted(lams)])
     assert (np.diff(values, axis=0) >= -1e-12).all()
+
+
+@PROPERTY
+@given(m=st.integers(1, 40), b=st.integers(1, 12), shift=st.integers(0, 12),
+       dense=st.booleans(), seed=st.integers(0, 10_000))
+@example(m=5, b=1, shift=0, dense=True, seed=0)
+@example(m=5, b=1, shift=0, dense=False, seed=0)
+def test_batch_means_are_the_row_means_of_the_indexed_values(m, b, shift, dense, seed):
+    # Both sides of the switch: a draw-count matrix when the query list is no
+    # longer than a batch, column sums otherwise.
+    n_q = max(1, b - shift) if dense else b + 1 + shift
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, n_q, size=(m, b))
+    values = rng.uniform(0.0, 10.0, size=n_q)
+    np.testing.assert_allclose(_batch_means(index, n_q)(values), values[index].mean(axis=1),
+                               rtol=1e-12, atol=0.0)
 
 
 # --- many knots: the exact search against a scalar reference -----------------

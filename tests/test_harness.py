@@ -113,6 +113,17 @@ def test_sweep_rejects_budgets_beyond_the_validation_half():
     assert all(r["width"] == "" for r in rows)
 
 
+@pytest.mark.parametrize("bad", [
+    {"n_grid": ()}, {"n_grid": (1,)}, {"methods": ("jackknife",)}, {"methods": ("bootstrp",)},
+    {"methods": ()}, {"alpha": 0.0}, {"repeats": 0}, {"workers": 0},
+])
+def test_sweep_refuses_options_a_plan_refuses(bad):
+    with pytest.raises(ValueError):
+        default_plan(**bad)
+    with pytest.raises(ValueError):
+        _tiny_sweep(_dataset(), **bad)
+
+
 def test_sweep_results_do_not_depend_on_which_other_methods_run():
     """Adding or removing methods must not move any method's draws: the
     bootstrap rows of a bootstrap-only sweep equal the bootstrap rows of a
