@@ -8,7 +8,7 @@ statistics, so the bounds always stay inside the observed value range.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +52,30 @@ def bootstrap_ci(
     Draws ``resamples`` with-replacement samples of the original size, takes
     the mean of each, and reports the alpha/2 and 1 - alpha/2 percentiles of
     those means.  All resample indices come from a single seeded stream, in
-    row chunks of at most :data:`_CHUNK_ENTRIES` indices, so the result is
-    bit-identical for a given seed regardless of where or how often it is
-    computed, and memory stays bounded for large n.
+    row chunks of at most :data:`_CHUNK_ENTRIES` indices (the same indices as
+    one block), so the result is bit-identical for a given seed regardless of
+    where or how often it is computed, and memory stays bounded for large n.
 
     Preconditions: at least 2 values, at least 100 resamples, alpha in (0, 1).
     """
     arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 values, got {arr.size}")
+    rng = stream(seed)
+    rows = max(1, _CHUNK_ENTRIES // max(arr.size, 1))
+    chunks = (rng.integers(0, arr.size, size=(min(rows, resamples - start), arr.size))
+              for start in range(0, resamples, rows))
+    return _percentile_ci(arr, alpha, resamples, chunks)
+
+
+def _percentile_ci(arr: np.ndarray, alpha: float, resamples: int,
+                   index_blocks: Iterable[np.ndarray]) -> CiReport:
+    """The interval from the ``resamples`` rows of ``index_blocks``, positions
+    into ``arr``; the inputs are checked before the first block is taken."""
+    est = empirical_estimate(arr)  # at least 2 values
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-    est = empirical_estimate(arr)
-    rng = stream(seed)
-    # Row chunks of the resamples x n index matrix, drawn one after another
-    # from the same stream: the same indices as one block, in bounded memory.
-    rows = max(1, _CHUNK_ENTRIES // arr.size)
-    means = np.concatenate([
-        arr[rng.integers(0, arr.size, size=(min(rows, resamples - start), arr.size))].mean(axis=1)
-        for start in range(0, resamples, rows)
-    ])
+    means = np.concatenate([arr[index].mean(axis=1) for index in index_blocks])
     lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)], method="linear")
     return CiReport(
         method="bootstrap",

@@ -189,14 +189,17 @@ def _checked_probs(flat: list, linenos: list[int], width: int) -> np.ndarray:
 
 
 def infer_scale_from_dists(text: str) -> LabelScale:
-    """Label scale implied by the first distribution line of the file."""
-    for lineno, line in _lines(text):
-        try:
-            obj = json.loads(line)
-            return LabelScale(len(list(obj["probs"])) - 1)
-        except Exception:
-            raise ParseError("cannot infer label scale from first distribution line", line=lineno) from None
-    raise ParseError("empty distribution file; cannot infer label scale")
+    """Label scale implied by the first distribution line, read no further."""
+    body = text.lstrip()  # all before the first non-blank line is whitespace
+    if not body:
+        raise ParseError("empty distribution file; cannot infer label scale")
+    end = body.find("\n")
+    line = body[:end] if end >= 0 else body
+    try:
+        return LabelScale(len(list(json.loads(line.strip())["probs"])) - 1)
+    except Exception:
+        lineno = text.count("\n", 0, len(text) - len(body)) + 1
+        raise ParseError("cannot infer label scale from first distribution line", line=lineno) from None
 
 
 def write_dists(predicted: Mapping[tuple[str, str], RelevanceDistribution]) -> str:

@@ -57,6 +57,8 @@ from .seeding import stream
 _LAM_EDGE = 1.0 - 1e-9
 # How far past the exact crossing a calibrated strength goes, against rounding.
 _MARGIN = 1e-10
+# Most index entries (or one batch) per bincount when filling draw counts.
+_COUNT_BLOCK = 1 << 13
 
 
 def _check_lambda(lam: float) -> float:
@@ -148,7 +150,7 @@ class CalibrationBatches:
 
     def __init__(self, pool: Sequence[str], index: np.ndarray):
         self.pool = tuple(pool)
-        self.index = np.asarray(index, dtype=np.intp)
+        self.index = np.asarray(index, dtype=np.intp).view()  # the caller's array stays writeable
         self.index.setflags(write=False)
 
     @classmethod
@@ -328,16 +330,17 @@ def _batch_means(index: np.ndarray, n_queries: int):
     the mean of each batch, for batches given as rows of query positions.
 
     When the batches are at least as long as the query list, an M x n_q
-    matrix of draw counts makes each call one matrix-vector product.
-    Shorter batches, such as singletons, are summed column by column
-    instead, so memory stays O(M * min(batch size, n_q)).
+    matrix of draw counts (one ``bincount`` per block of rows) makes each
+    call one product.  Shorter batches, such as singletons, are summed column
+    by column instead, so memory stays O(M * min(batch size, n_q)).
     """
     m, b = index.shape
     if n_queries <= b:
-        counts = np.zeros((m, n_queries))
-        cells, rows = counts.ravel(), np.arange(0, counts.size, n_queries)
-        for j in range(b):  # a column of the index names each cell at most once
-            cells[rows + index[:, j]] += 1.0
+        counts, rows = np.empty((m, n_queries)), max(1, _COUNT_BLOCK // b)
+        for start in range(0, m, rows):
+            k = min(rows, m - start)
+            cells = index[start:start + k] + np.arange(0, k * n_queries, n_queries)[:, None]
+            counts[start:start + k] = np.bincount(cells.ravel(), minlength=k * n_queries).reshape(k, -1)
         return lambda values: counts @ values / b
 
     def means(values: np.ndarray) -> np.ndarray:

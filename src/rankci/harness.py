@@ -15,11 +15,13 @@ coverage target throughout.  For every grid point and repeat, the harness
 
 The bootstrap interval is built from the n true utilities alone; the
 prediction-powered interval combines them with predictions over the whole
-pool; the risk-controlled interval calibrates its perturbation bounds on
-batches resampled from the n draws and is then computed over the test half's
-predictions only.  Repeats may run on several worker threads; every unit of
-work draws from its own seed-derived stream and rows are sorted afterwards,
-so the output is byte-identical regardless of worker count.
+pool; the risk-controlled interval calibrates its perturbation bounds on the
+bootstrap's resamples as batches (one index per grid point and repeat:
+common random numbers, which pair the two methods' rows and leave each one's
+guarantee as it was) and is then computed over the test half's predictions
+only.  Repeats may run on several worker threads; every unit of work draws
+from its own seed-derived stream and rows are sorted afterwards, so the
+output is byte-identical regardless of worker count.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -39,11 +41,11 @@ from typing import TextIO
 
 import numpy as np
 
-from .bootstrap import bootstrap_ci
+from .bootstrap import _percentile_ci, bootstrap_ci
 from .corpus import build_dataset
-# The sweep works on views, so calibrate, crc_ci, true_utilities,
-# predicted_utilities, bias_dataset and oracle_dataset are not called here;
-# they stay bound because bench/tracing.py patches them on this module.
+# The sweep works on views and resample indices: bootstrap_ci, calibrate, crc_ci,
+# true_utilities, predicted_utilities, bias_dataset and oracle_dataset are not
+# called here; they stay bound because bench/tracing.py patches them here.
 from .crc import (_calibrate, _crc_ci, _per_query_bounds, _UtilityEngine, build_batches,
                   calibrate, crc_ci)
 from .errors import CalibrationInfeasibleError
@@ -175,9 +177,10 @@ def sweep(
 ) -> list[dict]:
     """Run the repeat grid and return one row dict per method/point/repeat.
 
-    All methods at the same grid point and repeat see the same labeled draw
-    from the validation half; coverage is judged against the test half's true
-    utility.  Deterministic for a given seed, independent of ``workers``.
+    All methods at a grid point and repeat see one labeled draw from the
+    validation half, and bootstrap and crc one resample index of it; coverage
+    is judged against the test half's true utility.  Deterministic for a
+    given seed, independent of ``workers``.
     Options no sweep can run with raise ``ValueError`` before any work.
     """
     _check_sweep_options(alpha, repeats, workers, methods, n_grid)
@@ -213,18 +216,18 @@ def sweep(
         rng = stream(seed, point_idx, repeat, 0)
         labeled = sorted(rng.choice(val_arr, size=n, replace=False).tolist())
         labeled_true = [true_u[q] for q in labeled]
+        if "bootstrap" in methods or "crc" in methods:  # their one resample index
+            batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
+                                    seed=child_seed(seed, point_idx, repeat, 1))
         for method in methods:
             try:
                 if method == "bootstrap":
-                    ci = bootstrap_ci(labeled_true, alpha, resamples=num_batches,
-                                      seed=child_seed(seed, point_idx, repeat, 1))
+                    ci = _percentile_ci(np.array(labeled_true), alpha, num_batches, [batches.index])
                 elif method == "ppi":
                     est = ppi_estimate(labeled_true, [pred_u[q] for q in labeled],
                                        [pred_u[q] for q in pool])
                     ci = ppi_ci(est, alpha)
                 else:
-                    batches = build_batches(labeled, mode="bootstrap", num_batches=num_batches,
-                                            batch_size=n, seed=child_seed(seed, point_idx, repeat, 2))
                     ci = _crc_ci(test_view, _calibrate(batches, view_t, alpha))
             except CalibrationInfeasibleError as e:
                 rows.append({**base, "method": method, "width": "", "covered": "",

@@ -131,6 +131,21 @@ def test_infer_scale_from_dists():
         infer_scale_from_dists("")
     with pytest.raises(ParseError):
         infer_scale_from_dists("garbage\n")
+    # Blank lines and CRLF endings: the first non-blank line decides, by its
+    # 1-based number, and nothing after it is read.
+    line = '{"qid": "q1", "docid": "d1", "probs": [0.5, 0.5]}'
+    assert infer_scale_from_dists("\n  \n" + line + "\n") == LabelScale(1)
+    assert infer_scale_from_dists("\r\n\r\n" + line + "\r\ngarbage\r\n") == LabelScale(1)
+    assert infer_scale_from_dists(line) == LabelScale(1)  # no final newline
+    bad = "cannot infer label scale from first distribution line"
+    for text, lineno in (("garbage", 1), ("\n\ngarbage\n" + line, 3),
+                         ("\r\n \r\n{}\r\n", 3), ('\n{"probs": 3}', 2)):
+        with pytest.raises(ParseError, match=f"^line {lineno}: {bad}$") as info:
+            infer_scale_from_dists(text)
+        assert info.value.line == lineno
+    for text in ("", "\n", " \r\n\t\r\n"):
+        with pytest.raises(ParseError, match="^empty distribution file; cannot infer label scale$"):
+            infer_scale_from_dists(text)
 
 
 def test_crlf_and_blank_lines_are_tolerated():

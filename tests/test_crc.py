@@ -183,6 +183,16 @@ def test_batches_read_as_a_list_of_tuples():
         batches.index[0, 0] = 1  # read-only
 
 
+def test_batches_leave_the_callers_index_writeable():
+    index = np.zeros((3, 2), dtype=np.intp)
+    batches = CalibrationBatches(["a", "b"], index)
+    assert index.flags.writeable
+    index[0, 0] = 1
+    assert not batches.index.flags.writeable
+    with pytest.raises(ValueError):
+        batches.index[0, 0] = 1
+
+
 def test_build_batches_validation():
     with pytest.raises(InsufficientDataError):
         build_batches([], mode="per_query")

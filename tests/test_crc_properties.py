@@ -4,12 +4,14 @@ and on Dirichlet-drawn predictions with many distinct cumulative masses.
 Run derandomized, so every run draws the same examples."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rankci import crc
 from rankci.crc import (
     _LAM_EDGE,
     _batch_means,
@@ -119,6 +121,24 @@ def test_batch_means_are_the_row_means_of_the_indexed_values(m, b, shift, dense,
     values = rng.uniform(0.0, 10.0, size=n_q)
     np.testing.assert_allclose(_batch_means(index, n_q)(values), values[index].mean(axis=1),
                                rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(m=st.integers(1, 40), b=st.integers(1, 12), shift=st.integers(0, 12),
+       dense=st.booleans(), block=st.integers(1, 30), seed=st.integers(0, 10_000))
+@example(m=7, b=3, shift=1, dense=True, block=6, seed=0)  # 7 rows in blocks of 2
+@example(m=5, b=12, shift=0, dense=True, block=8, seed=1)  # a row longer than a block
+@example(m=9, b=4, shift=2, dense=False, block=8, seed=2)  # more queries than a batch holds
+def test_blockwise_draw_counts_equal_an_add_at_reference(m, b, shift, dense, block, seed):
+    n_q = max(1, b - shift) if dense else b + 1 + shift
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, n_q, size=(m, b))
+    counts = np.zeros((m, n_q))
+    np.add.at(counts, (np.arange(m)[:, None], index), 1.0)
+    with mock.patch.object(crc, "_COUNT_BLOCK", block):
+        batch_means = _batch_means(index, n_q)
+    # The means of the unit vectors are the draw counts over b, exactly.
+    assert np.array_equal(batch_means(np.eye(n_q)), counts / b)
 
 
 # --- many knots: the exact search against a scalar reference -----------------

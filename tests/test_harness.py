@@ -19,6 +19,7 @@ from rankci.harness import (
     run_plan,
     sweep,
 )
+from rankci import bootstrap
 from rankci.bootstrap import bootstrap_ci
 from rankci.crc import build_batches, calibrate, crc_ci
 from rankci.metrics import dataset_utility, parse_metric, predicted_utilities, true_utilities
@@ -134,6 +135,28 @@ def test_sweep_results_do_not_depend_on_which_other_methods_run():
     assert alone == full
 
 
+def test_sweep_bootstrap_rows_equal_chunked_bootstrap_ci(monkeypatch):
+    """The sweep reads bootstrap's interval off the resample index that crc
+    calibrates on, drawn as one block; bootstrap_ci draws the same stream in
+    row chunks.  With chunks of a few rows, the two agree bit for bit."""
+    monkeypatch.setattr(bootstrap, "_CHUNK_ENTRIES", 50)  # 5-12 rows a chunk
+    ds = _dataset()
+    n_grid, seed, alpha = (4, 6, 9), 7, 0.1
+    rows = _tiny_sweep(ds, n_grid=n_grid, seed=seed, alpha=alpha, methods=("bootstrap", "crc"))
+    pool = ds.labeled_queries()
+    validation, _ = halve_pool(pool, 11)
+    true_u = true_utilities(DCG, ds, pool)
+    boot = [r for r in rows if r["method"] == "bootstrap"]
+    assert len(boot) == 9 and {r["status"] for r in boot} == {"ok"}
+    for row in boot:
+        pi, rep = n_grid.index(row["n"]), row["repeat"]
+        rng = stream(seed, pi, rep, 0)
+        labeled = sorted(rng.choice(np.array(validation), size=row["n"], replace=False).tolist())
+        ci = bootstrap_ci([true_u[q] for q in labeled], alpha, resamples=120,
+                          seed=child_seed(seed, pi, rep, 1))
+        assert (row["low"], row["high"], row["width"]) == (ci.lower, ci.upper, ci.width)
+
+
 # --- aggregation ------------------------------------------------------------------
 
 
@@ -220,7 +243,7 @@ def _dataset_level_rows(ds, spec, *, n_grid, beta_grid, tau_grid, repeats, alpha
                                            [pred_u[q] for q in pool]), alpha),
             }
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
-                                    seed=child_seed(seed, pi, rep, 2))
+                                    seed=child_seed(seed, pi, rep, 1))
             cis["crc"] = crc_ci(spec, test, ds_t, calibrate(spec, batches, ds_t, alpha))
             for method, ci in cis.items():
                 rows.append({**base, "method": method, "width": ci.width,
