@@ -49,7 +49,6 @@ from .metrics import (
     gain,
     parse_metric,
     predicted_utilities,
-    query_utility_predicted,
     query_utility_true,
     rank_weight,
     true_utilities,
@@ -66,8 +65,6 @@ from .model import (
 from .ppi import PpiEstimate, ppi_ci, ppi_estimate
 from .synth import (
     SynthConfig,
-    apply_bias,
-    apply_oracle,
     bias_dataset,
     generate,
     oracle_dataset,
@@ -97,8 +94,6 @@ __all__ = [
     "SynthConfig",
     "TooFewBatchesError",
     "UnlabeledQueryError",
-    "apply_bias",
-    "apply_oracle",
     "bias_dataset",
     "bootstrap_ci",
     "build_batches",
@@ -123,7 +118,6 @@ __all__ = [
     "ppi_ci",
     "ppi_estimate",
     "predicted_utilities",
-    "query_utility_predicted",
     "query_utility_true",
     "rank_weight",
     "required_batches",

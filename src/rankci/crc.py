@@ -27,6 +27,9 @@ one-sided risk budgets are alpha/2 each, tightened by a finite-batch
 correction: each achieved loss must come in under (alpha - (1-alpha)/M) / 2
 for M batches.  When no strength inside (-1, 1) satisfies a bound the
 calibration *fails explicitly* instead of returning an unsound interval.
+
+Calibrations on one view search its knots, a superset of their batches',
+and share its cached masses, knots and per-query utilities at the knots.
 """
 
 from __future__ import annotations
@@ -68,16 +71,18 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _perturb_rows(probs: np.ndarray, lam: float) -> np.ndarray:
+def _perturb_rows(probs: np.ndarray, lam: float, below=None) -> np.ndarray:
     """Perturb every row of a (rows, labels) matrix at strength ``lam``.
 
     Rows must be valid probability vectors.  Returns renormalised rows.
+    ``below`` may give ``np.cumsum(p, axis=1) - p`` for ``p`` = ``probs``
+    and for its mirror ``probs[:, ::-1]``.
     """
     if lam == 0.0:
         return probs.copy()
     if lam < 0.0:
-        return _perturb_rows(probs[:, ::-1], -lam)[:, ::-1]
-    below = np.cumsum(probs, axis=1) - probs
+        return _perturb_rows(probs[:, ::-1], -lam, below and below[::-1])[:, ::-1]
+    below = np.cumsum(probs, axis=1) - probs if below is None else below[0]
     q = np.maximum(0.0, probs - np.maximum(0.0, lam - below))
     return q / q.sum(axis=1, keepdims=True)
 
@@ -127,11 +132,38 @@ def mu_crc(spec: MetricSpec, dist: RelevanceDistribution, lam: float) -> float:
 class _UtilityEngine(UtilityView):
     """A :class:`~rankci.metrics.UtilityView` that also evaluates perturbed
     utilities: ``per_query_utility(lam)`` perturbs every row at once and sums
-    weight * expected gain per query."""
+    weight * expected gain per query.
+
+    Caches, filled on first use and never copied by ``subset`` or
+    ``with_probs``: the masses below each label of the rows and of their
+    mirrors, the knots, query positions, true utilities, and a memo of
+    perturbed utilities at knot strengths only."""
+
+    _CACHES = ("below", "knots", "where", "truth", "memo")
+    below = functools.cached_property(
+        lambda self: tuple(np.cumsum(p, axis=1) - p for p in (self.probs, self.probs[:, ::-1])))
+    knots = functools.cached_property(lambda self: _knots(self.probs))
+    where = functools.cached_property(lambda self: {q: i for i, q in enumerate(self.query_ids)})
+    truth = functools.cached_property(lambda self: self.true_utilities())
+    memo = functools.cached_property(lambda self: {})
+
+    def __copy__(self):
+        out = object.__new__(type(self))
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k not in self._CACHES)
+        return out
 
     def per_query_utility(self, lam: float) -> np.ndarray:
         """Perturbed utility of every query, in query_ids order."""
-        return self._per_query(_perturb_rows(self.probs, lam) @ self.gains)
+        return self._per_query(_perturb_rows(self.probs, lam, self.below) @ self.gains)
+
+    def knot_utility(self, lam: float) -> np.ndarray:
+        """``per_query_utility(lam)``, memoised read-only at a knot (0 always is one)."""
+        if (u := self.memo.get(lam)) is None:
+            u = self.per_query_utility(lam)
+            if lam == 0.0 or (k := self.knots)[min(np.searchsorted(k, lam), len(k) - 1)] == lam:
+                u.setflags(write=False)
+                self.memo[lam] = u
+        return u
 
 
 def utility_crc(spec: MetricSpec, queries: Iterable[str], dataset: Dataset, lam: float) -> float:
@@ -414,26 +446,26 @@ def _calibrate(
     view: _UtilityEngine,
     alpha: float,
 ) -> CrcCalibration:
-    """:func:`calibrate` on a view that holds at least every query of the
-    batches' pool, stamped with the view's metric and label scale."""
+    """:func:`calibrate` on a view of labeled queries that holds at least
+    every query of the batches' pool, stamped with the view's metric and
+    label scale; it searches the view's knots and shares the view's memo."""
     batches, allowed = _checked_batches(batches, alpha)
     batch_mean = _batch_means(batches.index, len(batches.pool))
-    engine = view if view.query_ids == list(batches.pool) else view.subset(batches.pool)
-    batch_true = batch_mean(engine.true_utilities())
+    pos = np.fromiter(map(view.where.__getitem__, batches.pool), np.intp, len(batches.pool))
+    batch_true = batch_mean(view.truth[pos])
 
-    @functools.cache  # the two searches share their first evaluation, at 0
+    @functools.cache  # the two searches share their evaluations at common knots
     def gap(lam: float) -> np.ndarray:
         """Perturbed less true utility of every batch: negative where the
         high side misses, positive where the low side does."""
-        return batch_mean(engine.per_query_utility(lam)) - batch_true
+        return batch_mean(view.knot_utility(lam)[pos]) - batch_true
 
     m = len(batches)
-    knots = _knots(engine.probs)
-    lam_high, miss_high = _smallest_strength(gap, knots, allowed, "below 1")
+    lam_high, miss_high = _smallest_strength(gap, view.knots, allowed, "below 1")
     # lambda_low is the mirror image: the largest strength whose low-side
     # loss is under the threshold, found as the negated smallest -lambda
     # (subtracted from 0.0, so a zero strength stays +0.0).
-    low, miss_low = _smallest_strength(lambda x: -gap(-x), -knots[::-1], allowed, "above -1")
+    low, miss_low = _smallest_strength(lambda x: -gap(-x), -view.knots[::-1], allowed, "above -1")
     lam_low = 0.0 - low
     if lam_low >= lam_high:
         # Degenerate data (e.g. predictions exactly matching truth) can leave
@@ -480,7 +512,7 @@ def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
 def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
     """:func:`crc_ci` over every query of a view, without the stamp check."""
     lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
-    est = float(view.per_query_utility(0.0).mean())
+    est = float(view.knot_utility(0.0).mean())
     return CiReport(
         method="crc", estimate=est, lower=min(lo, hi), upper=max(lo, hi), alpha=calibration.alpha,
         diagnostics={

@@ -192,19 +192,20 @@ def sweep(
     true_u = dict(zip(pool, view.true_utilities().tolist()))
     truth_target = dataset_utility(spec, test, true_u)
 
-    # Per (beta, tau): the transformed view, its predicted utilities and its
-    # test half.
+    # Per (beta, tau): the pool's predicted utilities and, for crc, the views
+    # of the validation half (every calibration's) and of the test half.
     points = [(n, beta, tau) for n in n_grid for beta in beta_grid for tau in tau_grid]
     transformed = {}
     for _, beta, tau in points:
         if (beta, tau) not in transformed:
             view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
-            pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
-            transformed[(beta, tau)] = (view_t, pred_u, view_t.subset(test))
+            pool_pred = view_t.predicted_utilities().tolist()
+            halves = (view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None
+            transformed[(beta, tau)] = (dict(zip(pool, pool_pred)), pool_pred, halves)
 
     def one_repeat(point_idx: int, repeat: int) -> list[dict]:
         n, beta, tau = points[point_idx]
-        view_t, pred_u, test_view = transformed[(beta, tau)]
+        pred_u, pool_pred, halves = transformed[(beta, tau)]
         base = {"n": n, "beta": beta, "tau": tau, "repeat": repeat, "truth": truth_target}
         rows = []
         if n > len(validation):
@@ -224,11 +225,10 @@ def sweep(
                 if method == "bootstrap":
                     ci = _percentile_ci(np.array(labeled_true), alpha, num_batches, [batches.index])
                 elif method == "ppi":
-                    est = ppi_estimate(labeled_true, [pred_u[q] for q in labeled],
-                                       [pred_u[q] for q in pool])
+                    est = ppi_estimate(labeled_true, [pred_u[q] for q in labeled], pool_pred)
                     ci = ppi_ci(est, alpha)
                 else:
-                    ci = _crc_ci(test_view, _calibrate(batches, view_t, alpha))
+                    ci = _crc_ci(halves[1], _calibrate(batches, halves[0], alpha))
             except CalibrationInfeasibleError as e:
                 rows.append({**base, "method": method, "width": "", "covered": "",
                              "low": "", "high": "", "status": f"calibration-infeasible: {e}"})
@@ -304,7 +304,7 @@ def per_query_rows(
     for tau in tau_grid:
         view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
         pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
-        cal = _calibrate(batches, view_t, alpha)
+        cal = _calibrate(batches, view_t.subset(validation), alpha)
         bounds = zip(*(u.tolist() for u in _per_query_bounds(view_t.subset(ordered), cal)))
         for q, (lo, hi) in zip(ordered, bounds):
             low, high = min(lo, hi), max(lo, hi)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyQuerySetError, MissingDistributionError, UnlabeledQueryError
-from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, RankedList,
-                    RelevanceDistribution, left_sum)
+from .model import (Dataset, Judgment, LabelScale, LabelTable, RankedList, RelevanceDistribution,
+                    left_sum)
 
 KINDS = ("precision", "dcg")
 GAINS = ("identity", "exponential")
@@ -218,15 +218,14 @@ def _gather(starts: np.ndarray, pos: np.ndarray, cap: int | None = None):
     return np.repeat(first, counts) + place, new, place
 
 
-def _one_query(spec: MetricSpec, ranking: RankedList, truth=None, predicted=None) -> Dataset:
+def _one_query(spec: MetricSpec, ranking: RankedList, truth) -> Dataset:
     # The view reads the label range from the data, so any scale will do, and
     # only the first cutoff_k documents count.  A table is used as it is; of
     # any other mapping only those documents' pairs are converted.
     top = RankedList(ranking.query_id, ranking.doc_ids[: spec.cutoff_k])
-    keys = [(top.query_id, d) for d in top.doc_ids]
-    own = [m if isinstance(m, (LabelTable, DistTable)) else {k: m[k] for k in keys if k in m}
-           for m in (truth or {}, predicted or {})]
-    return Dataset(LabelScale(1), {top.query_id: top}, *own)
+    if not isinstance(truth, LabelTable):
+        truth = {k: truth[k] for k in ((top.query_id, d) for d in top.doc_ids) if k in truth}
+    return Dataset(LabelScale(1), {top.query_id: top}, truth, {})
 
 
 def query_utility_true(
@@ -240,19 +239,9 @@ def query_utility_true(
     cutoff has no judgment (documents past the cutoff carry zero weight and
     may be unjudged).
     """
-    view = UtilityView(spec, _one_query(spec, ranking, truth=truth), [ranking.query_id],
+    view = UtilityView(spec, _one_query(spec, ranking, truth), [ranking.query_id],
                        predictions=False)
     return float(view.true_utilities()[0])
-
-
-def query_utility_predicted(
-    spec: MetricSpec,
-    ranking: RankedList,
-    predicted: Mapping[tuple[str, str], RelevanceDistribution],
-) -> float:
-    """Utility of one query with expected gains in place of true gains."""
-    view = UtilityView(spec, _one_query(spec, ranking, predicted=predicted), [ranking.query_id])
-    return float(view.predicted_utilities()[0])
 
 
 def dataset_utility(

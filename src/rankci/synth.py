@@ -9,8 +9,7 @@ tend to sit higher — like a real retrieval run.
 
 Two transforms distort or improve predictions after the fact.  Both are
 array operations over the last axis of a stack of distributions;
-:func:`apply_bias`/:func:`apply_oracle` (one distribution) and
-:func:`bias_dataset`/:func:`oracle_dataset` (a whole dataset) wrap them.
+:func:`bias_dataset`/:func:`oracle_dataset` apply them to a whole dataset.
 
 * :func:`bias_probs` pushes mass toward the *complement* of each label's
   probability — strength beta interpolates from unchanged (0) through
@@ -33,8 +32,7 @@ import numpy as np
 
 from .errors import UnlabeledQueryError
 from .metrics import left_sum
-from .model import (Dataset, DistTable, LabelScale, LabelTable, RankedList, RankOrder,
-                    RelevanceDistribution)
+from .model import Dataset, DistTable, LabelScale, LabelTable, RankedList, RankOrder
 from .seeding import stream
 
 
@@ -148,19 +146,6 @@ def oracle_probs(probs: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarra
         raise ValueError("a true label is off the distributions' scale")
     one_hot = labels[..., None] == np.arange(probs.shape[-1])
     return (1.0 - tau) * probs + np.where(one_hot, tau, 0.0)
-
-
-def apply_bias(dist: RelevanceDistribution, beta: float) -> RelevanceDistribution:
-    """:func:`bias_probs` of one distribution."""
-    return RelevanceDistribution(tuple(bias_probs(np.array(dist.probs), beta).tolist()))
-
-
-def apply_oracle(dist: RelevanceDistribution, true_label: int, tau: float) -> RelevanceDistribution:
-    """:func:`oracle_probs` of one distribution with truth ``true_label``."""
-    if not 0 <= true_label < len(dist.probs):
-        raise ValueError(f"true_label {true_label} is off the distribution's scale")
-    out = oracle_probs(np.array(dist.probs), np.array(true_label), tau)
-    return RelevanceDistribution(tuple(out.tolist()))
 
 
 def bias_dataset(dataset: Dataset, beta: float) -> Dataset:

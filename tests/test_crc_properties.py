@@ -4,6 +4,7 @@ and on Dirichlet-drawn predictions with many distinct cumulative masses.
 Run derandomized, so every run draws the same examples."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankci import crc
+from rankci import cli, crc
 from rankci.crc import (
     _LAM_EDGE,
     _batch_means,
@@ -23,7 +24,9 @@ from rankci.crc import (
     calibration_threshold,
     utility_crc,
 )
+from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.errors import CalibrationInfeasibleError
+from rankci.harness import sweep
 from rankci.metrics import MetricSpec, gain_vector, query_utility_true
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
@@ -288,3 +291,117 @@ def test_strength_stops_at_the_lower_edge_when_the_whole_interval_satisfies_the_
     assert cal.achieved_loss_high == 0.0
     assert -1.0 < cal.lambda_low < cal.lambda_high
     assert cal.achieved_loss_low < calibration_threshold(0.1, 40)
+
+
+# --- the view's caches -------------------------------------------------------
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.asarray(values).ravel()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), num_queries=st.integers(2, 12), docs=st.integers(1, 6),
+       max_label=st.integers(1, 8), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       spec=st.sampled_from([MetricSpec("dcg", 5, "exponential"),
+                             MetricSpec("precision", 3, "identity")]))
+def test_cached_evaluations_are_bit_equal_to_the_perturbed_rows(seed, num_queries, docs,
+                                                                max_label, picks, spec):
+    ds = _dirichlet_dataset(seed, num_queries, docs, max_label)
+    view = _UtilityEngine(spec, ds, ds.queries())
+    knots = view.knots
+    # Knots, points between two knots, 0 and both edges, each on both signs.
+    at = [int(p * (len(knots) - 2)) for p in picks]
+    inner = [float(knots[i + 1]) for i in at]
+    between = [float(knots[i] + picks[0] * (knots[i + 1] - knots[i])) for i in at]
+    for lam in {s * x for x in [*inner, *between, 0.0, _LAM_EDGE] for s in (1.0, -1.0)}:
+        rows = _perturb_rows(view.probs, lam) @ view.gains
+        assert _hex(_perturb_rows(view.probs, lam, view.below) @ view.gains) == _hex(rows)
+        expected = _hex(view._per_query(rows))
+        assert _hex(view.per_query_utility(lam)) == expected
+        assert _hex(view.knot_utility(lam)) == expected
+        assert _hex(view.knot_utility(lam)) == expected  # read from the memo at a knot
+    assert set(view.memo) <= set(knots.tolist())
+    assert 0.0 in view.memo and _LAM_EDGE in view.memo and -_LAM_EDGE in view.memo
+
+
+def test_subset_and_with_probs_start_without_the_views_caches():
+    ds = _dirichlet_dataset(5, 12, docs=4)
+    spec = MetricSpec("dcg", 4, "exponential")
+    view = _UtilityEngine(spec, ds, ds.queries())
+    probe = [0.0, float(view.knots[3]), float(view.knots[-4])]
+    for lam in probe:
+        view.knot_utility(lam)
+    assert view.truth is not None and view.where and len(view.memo) == 3
+    flipped = view.with_probs(view.probs[:, ::-1].copy())
+    picked = view.subset(ds.queries()[::-2])
+    for out in (flipped, picked):
+        assert not set(_UtilityEngine._CACHES) & vars(out).keys()
+        assert _hex(out.knots) == _hex(_knots(out.probs))
+        assert out.where == {q: i for i, q in enumerate(out.query_ids)}
+        assert _hex(out.truth) == _hex(out.true_utilities())
+        for got, p in zip(out.below, (out.probs, out.probs[:, ::-1])):
+            assert _hex(got) == _hex(np.cumsum(p, axis=1) - p)
+        for lam in [*probe, 0.3, -0.3]:
+            expected = _hex(out._per_query(_perturb_rows(out.probs, lam) @ out.gains))
+            assert _hex(out.knot_utility(lam)) == expected
+    # The original keeps its own memo, untouched by the copies.
+    assert set(view.memo) == set(probe)
+
+
+def _recorded_views(monkeypatch):
+    """Every view whose knot utilities are read, once each."""
+    views = {}
+    read = _UtilityEngine.knot_utility
+
+    def recording(self, lam):
+        views[id(self)] = self
+        return read(self, lam)
+
+    monkeypatch.setattr(_UtilityEngine, "knot_utility", recording)
+    return views
+
+
+def _assert_memos_hold_knots_only(views):
+    assert views
+    for view in views.values():
+        assert view.memo
+        assert set(view.memo) <= set(view.knots.tolist())
+
+
+def test_memo_holds_only_knot_strengths_after_a_sweep(monkeypatch):
+    views = _recorded_views(monkeypatch)
+    ds = _dirichlet_dataset(2, 40)
+
+    def run(workers):
+        return sweep(ds, MetricSpec("dcg", 10, "exponential"), n_grid=(5, 10),
+                     beta_grid=(0.0, 0.5), tau_grid=(0.0, 0.5), methods=("crc",), repeats=3,
+                     num_batches=40, alpha=0.2, workers=workers)
+
+    alone = run(1)
+    # Per (beta, tau): one validation-half view and one test-half view.
+    assert len(views) == 8
+    # Four threads on two cores, switching often, share every view's caches.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(4) == alone
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(views) == 16
+    _assert_memos_hold_knots_only(views)
+
+
+def test_memo_holds_only_knot_strengths_after_a_cli_calibration(monkeypatch, tmp_path, capsys):
+    ds = _dirichlet_dataset(4, 30)
+    paths = {}
+    for name, text in (("run", write_run(ds.rankings)), ("qrels", write_qrels(ds.truth)),
+                       ("dists", write_dists(ds.predicted))):
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    views = _recorded_views(monkeypatch)
+    argv = ["ci", "--method", "crc", "--alpha", "0.2", "--batches", "50", "--seed", "3",
+            *(f"--{name}={path}" for name, path in paths.items())]
+    assert cli.main(argv) == 0
+    assert "crc" in capsys.readouterr().out
+    _assert_memos_hold_knots_only(views)

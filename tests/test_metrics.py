@@ -18,7 +18,6 @@ from rankci.metrics import (
     gain_vector,
     parse_metric,
     predicted_utilities,
-    query_utility_predicted,
     query_utility_true,
     rank_weight,
     true_utilities,
@@ -140,7 +139,7 @@ def test_one_hot_predictions_reproduce_true_utility():
     for name in ("dcg@10", "prec@5", "dcg@2"):
         spec = parse_metric(name)
         t = query_utility_true(spec, ds.rankings["q1"], ds.truth)
-        p = query_utility_predicted(spec, ds.rankings["q1"], ds.predicted)
+        p = predicted_utilities(spec, ds, ["q1"])["q1"]
         assert p == pytest.approx(t, abs=1e-12)
 
 
@@ -165,7 +164,7 @@ def test_missing_distribution_raises():
     predicted = dict(ds.predicted)
     del predicted[("q1", "a")]
     with pytest.raises(MissingDistributionError):
-        query_utility_predicted(parse_metric("dcg@10"), ds.rankings["q1"], predicted)
+        predicted_utilities(parse_metric("dcg@10"), Dataset(ds.scale, ds.rankings, ds.truth, predicted))
 
 
 # --- dataset-level utilities ------------------------------------------------
@@ -239,7 +238,7 @@ def test_view_utilities_equal_a_per_document_reference(data):
     assert view.predicted_utilities().tolist() == [ref[q][1] for q in qs]
     assert predicted_utilities(spec, ds) == {q: ref[q][1] for q in qs}
     for q in qs:
-        assert query_utility_predicted(spec, ds.rankings[q], ds.predicted) == ref[q][1]
+        assert predicted_utilities(spec, ds, [q]) == {q: ref[q][1]}
         if ref[q][0] is None:
             with pytest.raises(UnlabeledQueryError, match=f"query '{q}'"):
                 query_utility_true(spec, ds.rankings[q], ds.truth)
@@ -259,10 +258,10 @@ def test_view_utilities_equal_a_per_document_reference(data):
 
 def test_one_query_helpers_read_only_the_rankings_own_pairs():
     spec, ds = parse_metric("dcg@10"), _dataset_for_worked_example()
-    expected = query_utility_predicted(spec, ds.rankings["q1"], ds.predicted)
-    # A pair of another query that is not a distribution at all is never read.
-    predicted = {**ds.predicted, ("q9", "x"): "not a distribution"}
-    assert query_utility_predicted(spec, ds.rankings["q1"], predicted) == expected
+    expected = query_utility_true(spec, ds.rankings["q1"], ds.truth)
+    # A pair of another query that is not a judgment at all is never read.
+    truth = {**ds.truth, ("q9", "x"): "not a judgment"}
+    assert query_utility_true(spec, ds.rankings["q1"], truth) == expected
 
 
 def test_view_without_predictions_reads_truth_only():

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankci.errors import UnlabeledQueryError
-from rankci.model import Dataset, LabelScale, RelevanceDistribution
+from rankci.model import Dataset, LabelScale
 from rankci.synth import (
     SynthConfig,
     _kernel,
-    apply_bias,
-    apply_oracle,
     bias_dataset,
     bias_probs,
     generate,
@@ -120,25 +118,25 @@ def test_sharper_annotators_put_more_mass_on_the_truth():
 
 
 def test_apply_bias_worked_example():
-    out = apply_bias(RelevanceDistribution((0.2, 0.3, 0.5)), 1.0)
-    assert out.probs == pytest.approx((0.4, 0.35, 0.25), abs=1e-12)
+    out = bias_probs(np.array([0.2, 0.3, 0.5]), 1.0)
+    assert out.tolist() == pytest.approx((0.4, 0.35, 0.25), abs=1e-12)
 
 
 def test_apply_bias_zero_is_identity():
-    d = RelevanceDistribution((0.2, 0.3, 0.5))
-    assert apply_bias(d, 0.0).probs == pytest.approx(d.probs, abs=1e-15)
+    probs = np.array([0.2, 0.3, 0.5])
+    assert bias_probs(probs, 0.0) is probs
 
 
 def test_apply_bias_half_is_uniform():
-    out = apply_bias(RelevanceDistribution((0.7, 0.2, 0.1)), 0.5)
-    assert out.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+    out = bias_probs(np.array([0.7, 0.2, 0.1]), 0.5)
+    assert out.tolist() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
 
 def test_apply_bias_validates_beta():
     with pytest.raises(ValueError):
-        apply_bias(RelevanceDistribution((0.5, 0.5)), -0.1)
+        bias_probs(np.array([0.5, 0.5]), -0.1)
     with pytest.raises(ValueError):
-        apply_bias(RelevanceDistribution((0.5, 0.5)), 1.1)
+        bias_probs(np.array([0.5, 0.5]), 1.1)
 
 
 def test_bias_dataset_transforms_every_prediction():
@@ -146,7 +144,7 @@ def test_bias_dataset_transforms_every_prediction():
     out = bias_dataset(ds, 1.0)
     assert out.truth == ds.truth
     key = next(iter(ds.predicted))
-    assert out.predicted[key] == apply_bias(ds.predicted[key], 1.0)
+    assert out.predicted[key].probs == tuple(bias_probs(np.array(ds.predicted[key].probs), 1.0).tolist())
     # beta 0 short-circuits to the same object
     assert bias_dataset(ds, 0.0) is ds
 
@@ -155,24 +153,24 @@ def test_bias_dataset_transforms_every_prediction():
 
 
 def test_apply_oracle_worked_example():
-    out = apply_oracle(RelevanceDistribution((0.5, 0.5)), true_label=1, tau=0.5)
-    assert out.probs == pytest.approx((0.25, 0.75), abs=1e-12)
+    out = oracle_probs(np.array([0.5, 0.5]), np.array(1), 0.5)
+    assert out.tolist() == pytest.approx((0.25, 0.75), abs=1e-12)
 
 
 def test_apply_oracle_endpoints():
-    d = RelevanceDistribution((0.6, 0.3, 0.1))
-    assert apply_oracle(d, 2, 0.0).probs == pytest.approx(d.probs, abs=1e-15)
-    assert apply_oracle(d, 2, 1.0).probs == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+    probs = np.array([0.6, 0.3, 0.1])
+    assert oracle_probs(probs, np.array(2), 0.0) is probs
+    assert oracle_probs(probs, np.array(2), 1.0).tolist() == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
 
 def test_apply_oracle_validates_inputs():
-    d = RelevanceDistribution((0.5, 0.5))
+    probs = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        apply_oracle(d, 0, -0.1)
+        oracle_probs(probs, np.array(0), -0.1)
     with pytest.raises(ValueError):
-        apply_oracle(d, 0, 1.1)
+        oracle_probs(probs, np.array(0), 1.1)
     with pytest.raises(ValueError):
-        apply_oracle(d, 5, 0.5)
+        oracle_probs(probs, np.array(5), 0.5)
 
 
 def test_oracle_dataset_requires_judgments():
@@ -224,7 +222,6 @@ def test_bias_probs_is_bit_equal_to_the_plain_formula(stack, beta):
     probs, _ = stack
     out = bias_probs(np.array(probs), beta)
     assert out.tolist() == [_bias_reference(row, beta) for row in probs]
-    assert [list(apply_bias(RelevanceDistribution(row), beta).probs) for row in probs] == out.tolist()
 
 
 @PROPERTY
@@ -233,8 +230,6 @@ def test_oracle_probs_is_bit_equal_to_the_plain_formula(stack, tau):
     probs, labels = stack
     out = oracle_probs(np.array(probs), np.array(labels), tau)
     assert out.tolist() == [_oracle_reference(row, y, tau) for row, y in zip(probs, labels)]
-    assert [list(apply_oracle(RelevanceDistribution(row), y, tau).probs)
-            for row, y in zip(probs, labels)] == out.tolist()
 
 
 def test_array_transforms_work_over_any_leading_shape():
