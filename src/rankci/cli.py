@@ -137,16 +137,15 @@ def _load_dataset(run_path: str, dists_path: str | None, qrels_path: str | None,
     return dataset
 
 
-def _write_out(path: str, payload_rows: list[dict] | None = None, payload_obj=None) -> None:
-    """Write machine-readable output: .csv for rows, .json for either."""
+def _write_out(path: str, payload: list[dict] | dict) -> None:
+    """Write machine-readable output: .csv for a list of rows, .json for either."""
     p = Path(path)
     if p.suffix == ".csv":
-        if payload_rows is None:
+        if not isinstance(payload, list):
             raise ValueError("--out .csv needs tabular output; use .json here")
-        write_csv(p, list(payload_rows[0]) if payload_rows else [], payload_rows)
+        write_csv(p, list(payload[0]) if payload else [], payload)
     elif p.suffix == ".json":
-        obj = payload_obj if payload_obj is not None else payload_rows
-        p.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"--out must end in .csv or .json, got {path!r}")
 
@@ -187,7 +186,7 @@ def cmd_evaluate(args) -> int:
     print(f"mean predicted utility (all queries): {dataset_utility(metric, queries, pred_u):.6f}")
 
     if out_path is not None:
-        _write_out(out_path, payload_rows=rows)
+        _write_out(out_path, rows)
     return EXIT_OK
 
 
@@ -265,7 +264,7 @@ def cmd_ci(args) -> int:
 
     _print_report(ci, format_metric(metric))
     if out_path is not None:
-        _write_out(out_path, payload_obj=ci.to_dict())
+        _write_out(out_path, ci.to_dict())
     return EXIT_OK
 
 
@@ -286,7 +285,7 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
         print(f"{row['query_id']:<24} {row['low']:>12.6f} {row['high']:>12.6f} "
               f"{row['predicted']:>12.6f} {true_s:>12}")
     if out_path is not None:
-        _write_out(out_path, payload_rows=rows)
+        _write_out(out_path, rows)
     return EXIT_OK
 
 

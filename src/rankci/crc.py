@@ -28,8 +28,9 @@ correction: each achieved loss must come in under (alpha - (1-alpha)/M) / 2
 for M batches.  When no strength inside (-1, 1) satisfies a bound the
 calibration *fails explicitly* instead of returning an unsound interval.
 
-Calibrations on one view search its knots, a superset of their batches',
-and share its cached masses, knots and per-query utilities at the knots.
+Every sum over a row's labels is :func:`rankci.model.left_sum`, so a query's
+perturbed utility depends only on its own rows.  Calibrations on one view
+search its knots (a superset of their batches') and share its caches.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .errors import (
     TooFewBatchesError,
     UnlabeledQueryError,
 )
-from .metrics import MetricSpec, UtilityView, format_metric, gain_vector
+from .metrics import MetricSpec, UtilityView, expected_gain, format_metric
 # Unused here, but bench/tracing.py patches this name on this module.
 from .metrics import query_utility_true
-from .model import CiReport, Dataset, LabelScale, RelevanceDistribution
+from .model import CiReport, Dataset, LabelScale, RelevanceDistribution, left_sum
 from .seeding import stream
 
 # Representable ends of the open strength interval (-1, 1).
@@ -74,9 +75,9 @@ def _check_lambda(lam: float) -> float:
 def _perturb_rows(probs: np.ndarray, lam: float, below=None) -> np.ndarray:
     """Perturb every row of a (rows, labels) matrix at strength ``lam``.
 
-    Rows must be valid probability vectors.  Returns renormalised rows.
-    ``below`` may give ``np.cumsum(p, axis=1) - p`` for ``p`` = ``probs``
-    and for its mirror ``probs[:, ::-1]``.
+    Rows must be valid probability vectors.  Returns each row renormalised by
+    its own ``left_sum``.  ``below`` may give ``np.cumsum(p, axis=1) - p`` for
+    ``p`` = ``probs`` and for its mirror ``probs[:, ::-1]``.
     """
     if lam == 0.0:
         return probs.copy()
@@ -84,7 +85,7 @@ def _perturb_rows(probs: np.ndarray, lam: float, below=None) -> np.ndarray:
         return _perturb_rows(probs[:, ::-1], -lam, below and below[::-1])[:, ::-1]
     below = np.cumsum(probs, axis=1) - probs if below is None else below[0]
     q = np.maximum(0.0, probs - np.maximum(0.0, lam - below))
-    return q / q.sum(axis=1, keepdims=True)
+    return q / left_sum(q)[:, None]
 
 
 def perturb_distribution(dist: RelevanceDistribution, lam: float) -> RelevanceDistribution:
@@ -96,8 +97,9 @@ def perturb_distribution(dist: RelevanceDistribution, lam: float) -> RelevanceDi
     unchanged by any strength, since removed mass is restored by
     renormalisation.
 
-    The same arithmetic as :func:`_perturb_rows` on one row, in plain floats:
-    a numpy call on a single short row costs more than the formula.
+    The same arithmetic as :func:`_perturb_rows` on one row, in plain floats
+    and bit for bit at every label count: a numpy call on a single short row
+    costs more than the formula.
     """
     lam = _check_lambda(lam)
     probs = list(dist.probs)
@@ -118,15 +120,12 @@ def perturb_distribution(dist: RelevanceDistribution, lam: float) -> RelevanceDi
 
 
 def mu_crc(spec: MetricSpec, dist: RelevanceDistribution, lam: float) -> float:
-    """Expected gain of the perturbed distribution.
-
-    Equals ``expected_gain(spec, dist)`` at lam = 0, tends to the gain of the
-    top label as lam -> 1 and of label 0 as lam -> -1 (for distributions with
-    mass at the extremes), and is non-decreasing in lam throughout.
+    """Expected gain of the perturbed distribution: ``expected_gain`` exactly
+    at lam = 0 and, at every lam, the same row's gain in any view, bit for bit.
+    Tends to the gain of the top label as lam -> 1 and of label 0 as lam -> -1
+    (for distributions with mass at the extremes); non-decreasing in lam.
     """
-    row = np.asarray(dist.probs, dtype=float)[None, :]
-    gains = gain_vector(spec, LabelScale(dist.max_label))
-    return float(_perturb_rows(row, _check_lambda(lam))[0] @ gains)
+    return expected_gain(spec, perturb_distribution(dist, lam))
 
 
 class _UtilityEngine(UtilityView):
@@ -154,10 +153,11 @@ class _UtilityEngine(UtilityView):
 
     def per_query_utility(self, lam: float) -> np.ndarray:
         """Perturbed utility of every query, in query_ids order."""
-        return self._per_query(_perturb_rows(self.probs, lam, self.below) @ self.gains)
+        return self._per_query(left_sum(_perturb_rows(self.probs, lam, self.below) * self.gains))
 
     def knot_utility(self, lam: float) -> np.ndarray:
-        """``per_query_utility(lam)``, memoised read-only at a knot (0 always is one)."""
+        """``per_query_utility(lam)``, memoised read-only at a knot.  0 always is
+        one and is tested first, so a view that only gives intervals never builds knots."""
         if (u := self.memo.get(lam)) is None:
             u = self.per_query_utility(lam)
             if lam == 0.0 or (k := self.knots)[min(np.searchsorted(k, lam), len(k) - 1)] == lam:

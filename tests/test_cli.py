@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankci
@@ -21,7 +22,7 @@ from rankci.crc import CrcCalibration, crc_ci
 from rankci.errors import ParseError
 from rankci.harness import ROW_FIELDS, load_plan, sweep, write_csv
 from rankci.metrics import parse_metric
-from rankci.model import LabelScale
+from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
 
 
@@ -46,18 +47,38 @@ def worked_example(tmp_path):
     return {"run": str(run), "qrels": str(qrels), "dists": str(dists)}
 
 
+def _corpus_files(ds, folder):
+    """``ds`` written out in all three formats under ``folder``."""
+    folder.mkdir(exist_ok=True)
+    paths = {"run": folder / "run.txt", "qrels": folder / "qrels.txt",
+             "dists": folder / "dists.jsonl"}
+    paths["run"].write_text(write_run(ds.rankings), encoding="utf-8")
+    paths["qrels"].write_text(write_qrels(ds.truth), encoding="utf-8")
+    paths["dists"].write_text(write_dists(ds.predicted), encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
 @pytest.fixture
 def labeled_corpus(tmp_path):
     """A synthetic 30-query corpus written out in all three formats."""
     ds = generate(SynthConfig(num_queries=30, docs_per_query=6, scale=LabelScale(2),
                               truth_prior=(0.5, 0.3, 0.2), annotator_sharpness=4.0, seed=3))
-    run = tmp_path / "run.txt"
-    qrels = tmp_path / "qrels.txt"
-    dists = tmp_path / "dists.jsonl"
-    run.write_text(write_run(ds.rankings), encoding="utf-8")
-    qrels.write_text(write_qrels(ds.truth), encoding="utf-8")
-    dists.write_text(write_dists(ds.predicted), encoding="utf-8")
-    return {"run": str(run), "qrels": str(qrels), "dists": str(dists)}
+    return _corpus_files(ds, tmp_path)
+
+
+@pytest.fixture
+def dirichlet_corpus(tmp_path):
+    """60 queries of 10 documents on a 0..8 scale, with uniformly random labels
+    and Dirichlet(1, ..., 1) predictions, in all three formats."""
+    rng = np.random.default_rng(0)
+    rankings, truth, predicted = {}, {}, {}
+    for i in range(60):
+        qid = f"q{i:02d}"
+        rankings[qid] = RankedList(qid, tuple(f"d{j}" for j in range(10)))
+        for doc in rankings[qid].doc_ids:
+            truth[(qid, doc)] = Judgment(int(rng.integers(0, 9)))
+            predicted[(qid, doc)] = RelevanceDistribution(tuple(rng.dirichlet(np.ones(9))))
+    return _corpus_files(Dataset(LabelScale(8), rankings, truth, predicted), tmp_path / "dirichlet")
 
 
 def _run_main(argv, capsys):
@@ -161,6 +182,16 @@ def test_ci_bootstrap_works_without_distributions(labeled_corpus, capsys):
     assert code == 0
 
 
+def test_ci_out_csv_without_rows_is_a_usage_error(labeled_corpus, tmp_path, capsys):
+    out_path = tmp_path / "ci.csv"
+    code, _, err = _run_main(
+        ["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+         "--method", "bootstrap", "--batches", "200", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert "--out .csv needs tabular output; use .json here" in err
+    assert not out_path.exists()
+
+
 def test_ci_ppi_requires_dists(labeled_corpus):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
@@ -214,24 +245,26 @@ def test_ci_crc_per_query_needs_enough_singleton_batches(labeled_corpus, capsys)
     assert "calibration infeasible" in err
 
 
-def test_ci_crc_per_query_rows_equal_one_query_intervals(labeled_corpus, tmp_path, capsys):
-    out_path, cal_path = tmp_path / "per_query.csv", tmp_path / "cal.json"
-    code, _, _ = _run_main(
-        ["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
-         "--dists", labeled_corpus["dists"], "--method", "crc", "--per-query",
-         "--save-calibration", str(cal_path), "--out", str(out_path)], capsys)
-    assert code == 0
-    ds = build_dataset(*(Path(labeled_corpus[k]).read_text(encoding="utf-8")
-                         for k in ("run", "dists", "qrels")))
-    cal = CrcCalibration.from_text(cal_path.read_text(encoding="utf-8"))
+def test_ci_crc_per_query_rows_equal_one_query_intervals(labeled_corpus, dirichlet_corpus,
+                                                         tmp_path, capsys):
     metric = parse_metric("dcg@10")
-    with open(out_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["query_id"] for row in rows] == ds.queries()
-    for row in rows:
-        ci = crc_ci(metric, [row["query_id"]], ds, cal)
-        assert (float(row["low"]), float(row["high"]), float(row["predicted"])) == (
-            ci.lower, ci.upper, ci.estimate)
+    for corpus in (labeled_corpus, dirichlet_corpus):
+        out_path, cal_path = tmp_path / "per_query.csv", tmp_path / "cal.json"
+        code, _, _ = _run_main(
+            ["ci", "--run", corpus["run"], "--qrels", corpus["qrels"],
+             "--dists", corpus["dists"], "--method", "crc", "--per-query",
+             "--save-calibration", str(cal_path), "--out", str(out_path)], capsys)
+        assert code == 0
+        ds = build_dataset(*(Path(corpus[k]).read_text(encoding="utf-8")
+                             for k in ("run", "dists", "qrels")))
+        cal = CrcCalibration.from_text(cal_path.read_text(encoding="utf-8"))
+        with open(out_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["query_id"] for row in rows] == ds.queries()
+        for row in rows:
+            ci = crc_ci(metric, [row["query_id"]], ds, cal)
+            assert (float(row["low"]), float(row["high"]), float(row["predicted"])) == (
+                ci.lower, ci.upper, ci.estimate)
 
 
 def test_ci_crc_per_query_header_reports_the_loaded_records_alpha(labeled_corpus, tmp_path,

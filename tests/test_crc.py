@@ -10,6 +10,7 @@ from rankci.crc import (
     CalibrationBatches,
     CrcCalibration,
     _perturb_rows,
+    _UtilityEngine,
     build_batches,
     calibrate,
     calibration_threshold,
@@ -25,7 +26,7 @@ from rankci.errors import (
     InsufficientDataError,
     TooFewBatchesError,
 )
-from rankci.metrics import expected_gain, gain, parse_metric, predicted_utilities
+from rankci.metrics import MetricSpec, expected_gain, gain, parse_metric, predicted_utilities
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.seeding import stream
 from rankci.synth import SynthConfig, generate
@@ -70,16 +71,33 @@ def test_perturb_rejects_out_of_range_strength(lam):
         perturb_distribution(RelevanceDistribution((0.5, 0.5)), lam)
 
 
+def _hex(values):
+    return [float(x).hex() for x in np.asarray(values).ravel()]
+
+
+def _dirichlet_rows(rng, length):
+    return np.vstack([rng.dirichlet(np.ones(length), size=100),
+                      rng.dirichlet(np.full(length, 0.2), size=100)])
+
+
 def test_scalar_perturbation_agrees_with_the_row_kernel():
+    # One document per query at cutoff 1 (rank weight 1): in a many-row view,
+    # each query's perturbed utility is its one row's perturbed expected gain.
     rng = stream(34)
-    for length in range(2, 7):
-        rows = np.vstack([rng.dirichlet(np.ones(length), size=100),
-                          rng.dirichlet(np.full(length, 0.2), size=100)])
-        for lam in (-0.97, -0.6, -0.25, -0.01, 0.01, 0.25, 0.6, 0.97):
-            expected = _perturb_rows(rows, lam)
-            got = np.array([perturb_distribution(RelevanceDistribution(tuple(r)), lam).probs
-                            for r in rows])
-            assert np.abs(got - expected).max() <= 1e-15
+    specs = (MetricSpec("dcg", 1, "exponential"), MetricSpec("precision", 1, "identity"))
+    for length in range(2, 12):
+        rows = _dirichlet_rows(rng, length)
+        dists = [RelevanceDistribution(tuple(r)) for r in rows]
+        qids = [f"q{i:03d}" for i in range(len(rows))]
+        ds = Dataset(LabelScale(length - 1), {q: RankedList(q, ("d",)) for q in qids}, {},
+                     {(q, "d"): d for q, d in zip(qids, dists)})
+        views = [_UtilityEngine(spec, ds, qids) for spec in specs]
+        for lam in (-0.97, -0.6, -0.25, -0.01, 0.0, 0.01, 0.25, 0.6, 0.97):
+            got = [perturb_distribution(d, lam).probs for d in dists]
+            assert _hex(got) == _hex(_perturb_rows(rows, lam))
+            for view in views:
+                expected = [mu_crc(view.spec, d, lam) for d in dists]
+                assert _hex(view.per_query_utility(lam)) == _hex(expected)
 
 
 def test_perturbed_distributions_stay_normalised():
@@ -105,9 +123,14 @@ def test_expected_label_is_monotone_in_strength():
 
 
 def test_mu_crc_at_zero_equals_expected_gain():
-    d = RelevanceDistribution((0.1, 0.2, 0.3, 0.4))
-    for spec in (DCG, PREC):
-        assert mu_crc(spec, d, 0.0) == pytest.approx(expected_gain(spec, d), abs=1e-15)
+    rng = stream(35)
+    rows = [[0.1, 0.2, 0.3, 0.4]]
+    for length in range(2, 12):
+        rows += _dirichlet_rows(rng, length).tolist()
+    for row in rows:
+        d = RelevanceDistribution(tuple(row))
+        for spec in (DCG, PREC):
+            assert mu_crc(spec, d, 0.0) == expected_gain(spec, d)
 
 
 def test_mu_crc_extreme_strengths_reach_the_gain_range():

@@ -28,7 +28,8 @@ from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.errors import CalibrationInfeasibleError
 from rankci.harness import sweep
 from rankci.metrics import MetricSpec, gain_vector, query_utility_true
-from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from rankci.model import (Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution,
+                          left_sum)
 from rankci.synth import SynthConfig, generate
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -300,6 +301,14 @@ def _hex(values):
     return [float(x).hex() for x in np.asarray(values).ravel()]
 
 
+def _probe_strengths(knots, picks):
+    """Knots, points between two knots, 0 and both edges, each on both signs."""
+    at = [int(p * (len(knots) - 2)) for p in picks]
+    inner = [float(knots[i + 1]) for i in at]
+    between = [float(knots[i] + picks[0] * (knots[i + 1] - knots[i])) for i in at]
+    return {s * x for x in [*inner, *between, 0.0, _LAM_EDGE] for s in (1.0, -1.0)}
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000), num_queries=st.integers(2, 12), docs=st.integers(1, 6),
        max_label=st.integers(1, 8), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
@@ -309,20 +318,34 @@ def test_cached_evaluations_are_bit_equal_to_the_perturbed_rows(seed, num_querie
                                                                 max_label, picks, spec):
     ds = _dirichlet_dataset(seed, num_queries, docs, max_label)
     view = _UtilityEngine(spec, ds, ds.queries())
-    knots = view.knots
-    # Knots, points between two knots, 0 and both edges, each on both signs.
-    at = [int(p * (len(knots) - 2)) for p in picks]
-    inner = [float(knots[i + 1]) for i in at]
-    between = [float(knots[i] + picks[0] * (knots[i + 1] - knots[i])) for i in at]
-    for lam in {s * x for x in [*inner, *between, 0.0, _LAM_EDGE] for s in (1.0, -1.0)}:
-        rows = _perturb_rows(view.probs, lam) @ view.gains
-        assert _hex(_perturb_rows(view.probs, lam, view.below) @ view.gains) == _hex(rows)
+    for lam in _probe_strengths(view.knots, picks):
+        rows = left_sum(_perturb_rows(view.probs, lam) * view.gains)
+        assert _hex(left_sum(_perturb_rows(view.probs, lam, view.below) * view.gains)) == _hex(rows)
         expected = _hex(view._per_query(rows))
         assert _hex(view.per_query_utility(lam)) == expected
         assert _hex(view.knot_utility(lam)) == expected
         assert _hex(view.knot_utility(lam)) == expected  # read from the memo at a knot
-    assert set(view.memo) <= set(knots.tolist())
+    assert set(view.memo) <= set(view.knots.tolist())
     assert 0.0 in view.memo and _LAM_EDGE in view.memo and -_LAM_EDGE in view.memo
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), num_queries=st.integers(2, 12), docs=st.integers(1, 6),
+       max_label=st.integers(1, 10), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       spec=st.sampled_from([MetricSpec("dcg", 5, "exponential"),
+                             MetricSpec("precision", 3, "identity")]))
+def test_a_querys_utilities_depend_only_on_its_own_rows(seed, num_queries, docs, max_label,
+                                                        picks, spec):
+    ds = _dirichlet_dataset(seed, num_queries, docs, max_label)
+    view = _UtilityEngine(spec, ds, ds.queries())
+    alone = [view.subset([q]) for q in view.query_ids]
+    predicted = view.predicted_utilities()
+    for i, one in enumerate(alone):
+        assert _hex(one.predicted_utilities()) == _hex(predicted[i])
+    for lam in _probe_strengths(view.knots, picks):
+        together = view.per_query_utility(lam)
+        for i, one in enumerate(alone):
+            assert _hex(one.per_query_utility(lam)) == _hex(together[i])
 
 
 def test_subset_and_with_probs_start_without_the_views_caches():
@@ -343,7 +366,7 @@ def test_subset_and_with_probs_start_without_the_views_caches():
         for got, p in zip(out.below, (out.probs, out.probs[:, ::-1])):
             assert _hex(got) == _hex(np.cumsum(p, axis=1) - p)
         for lam in [*probe, 0.3, -0.3]:
-            expected = _hex(out._per_query(_perturb_rows(out.probs, lam) @ out.gains))
+            expected = _hex(out._per_query(left_sum(_perturb_rows(out.probs, lam) * out.gains)))
             assert _hex(out.knot_utility(lam)) == expected
     # The original keeps its own memo, untouched by the copies.
     assert set(view.memo) == set(probe)
