@@ -276,7 +276,7 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
     bounds = zip(*(u.tolist() for u in _per_query_bounds(view, cal)))
     rows = [{"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
              "true": true_u.get(q, "")}
-            for q, (lo, hi), est in zip(queries, bounds, view.per_query_utility(0.0).tolist())]
+            for q, (lo, hi), est in zip(queries, bounds, view.predicted_utilities().tolist())]
     print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {cal.alpha}")
     print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
     print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")

@@ -76,11 +76,11 @@ def _perturb_rows(probs: np.ndarray, lam: float, below=None) -> np.ndarray:
     """Perturb every row of a (rows, labels) matrix at strength ``lam``.
 
     Rows must be valid probability vectors.  Returns each row renormalised by
-    its own ``left_sum``.  ``below`` may give ``np.cumsum(p, axis=1) - p`` for
-    ``p`` = ``probs`` and for its mirror ``probs[:, ::-1]``.
+    its own ``left_sum``; at lam = 0, ``probs`` itself.  ``below`` may give
+    ``np.cumsum(p, axis=1) - p`` for ``p`` = ``probs`` and its mirror.
     """
     if lam == 0.0:
-        return probs.copy()
+        return probs
     if lam < 0.0:
         return _perturb_rows(probs[:, ::-1], -lam, below and below[::-1])[:, ::-1]
     below = np.cumsum(probs, axis=1) - probs if below is None else below[0]
@@ -156,11 +156,11 @@ class _UtilityEngine(UtilityView):
         return self._per_query(left_sum(_perturb_rows(self.probs, lam, self.below) * self.gains))
 
     def knot_utility(self, lam: float) -> np.ndarray:
-        """``per_query_utility(lam)``, memoised read-only at a knot.  0 always is
-        one and is tested first, so a view that only gives intervals never builds knots."""
+        """``per_query_utility(lam)``, memoised read-only at a knot.  Calibration
+        reads it; a view that only gives intervals never builds knots or memo."""
         if (u := self.memo.get(lam)) is None:
             u = self.per_query_utility(lam)
-            if lam == 0.0 or (k := self.knots)[min(np.searchsorted(k, lam), len(k) - 1)] == lam:
+            if (k := self.knots)[min(np.searchsorted(k, lam), len(k) - 1)] == lam:
                 u.setflags(write=False)
                 self.memo[lam] = u
         return u
@@ -257,9 +257,9 @@ class CrcCalibration:
     """A calibrated perturbation-strength pair plus its audit trail.
 
     Serialisable with :meth:`to_text` / :meth:`from_text` so calibration and
-    interval construction can run as separate invocations.  ``metric`` and
-    ``max_label`` stamp the metric name and label scale the pair was
-    calibrated for; :meth:`check_applies` refuses any other.
+    interval construction can run as separate invocations.  Every record is
+    stamped with the metric name and label scale (``metric``, ``max_label``)
+    it was calibrated for; :meth:`check_applies` refuses any other.
     """
 
     lambda_low: float
@@ -268,8 +268,8 @@ class CrcCalibration:
     num_batches: int
     achieved_loss_low: float
     achieved_loss_high: float
-    metric: str | None = None
-    max_label: int | None = None
+    metric: str
+    max_label: int
 
     def __post_init__(self):
         if not (-1.0 < self.lambda_low < 1.0) or not (-1.0 < self.lambda_high < 1.0):
@@ -295,14 +295,13 @@ class CrcCalibration:
     @classmethod
     def from_text(cls, text: str) -> "CrcCalibration":
         try:
-            raw = json.loads(text)
+            raw = {k: v for k, v in json.loads(text).items() if v is not None}
             floats = ("lambda_low", "lambda_high", "alpha", "achieved_loss_low", "achieved_loss_high")
-            return cls(
-                **{k: float(raw[k]) for k in floats}, num_batches=int(raw["num_batches"]),
-                metric=None if raw.get("metric") is None else str(raw["metric"]),
-                max_label=None if raw.get("max_label") is None else int(raw["max_label"]),
-            )
-        except (KeyError, TypeError) as e:
+            return cls(**{k: float(raw[k]) for k in floats}, num_batches=int(raw["num_batches"]),
+                       metric=str(raw["metric"]), max_label=int(raw["max_label"]))
+        except KeyError as e:
+            raise ValueError(f"malformed calibration record: {e} is missing or null") from None
+        except (AttributeError, TypeError) as e:
             raise ValueError(f"malformed calibration record: {e}") from None
 
     def check_applies(self, spec: MetricSpec, scale: LabelScale) -> None:
@@ -492,13 +491,12 @@ def crc_ci(
 
     The point estimate is the unperturbed predicted utility of the targets;
     the bounds are the perturbed utilities at lambda_low and lambda_high.  A
-    stamped calibration is refused for another metric or label scale.
+    calibration is refused for a metric or label scale it is not stamped with.
     """
     qs = list(target_queries)
     if not qs:
         raise EmptyQuerySetError("interval over an empty query set")
-    if calibration.metric is not None or calibration.max_label is not None:
-        calibration.check_applies(spec, dataset.scale)
+    calibration.check_applies(spec, dataset.scale)
     return _crc_ci(_UtilityEngine(spec, dataset, qs), calibration)
 
 
@@ -512,7 +510,7 @@ def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
 def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
     """:func:`crc_ci` over every query of a view, without the stamp check."""
     lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
-    est = float(view.knot_utility(0.0).mean())
+    est = float(view.predicted_utilities().mean())
     return CiReport(
         method="crc", estimate=est, lower=min(lo, hi), upper=max(lo, hi), alpha=calibration.alpha,
         diagnostics={

@@ -207,19 +207,21 @@ def sweep(
         n, beta, tau = points[point_idx]
         pred_u, pool_pred, halves = transformed[(beta, tau)]
         base = {"n": n, "beta": beta, "tau": tau, "repeat": repeat, "truth": truth_target}
-        rows = []
+
+        def failed(method: str, status: str) -> dict:
+            return {**base, "method": method, "width": "", "covered": "", "low": "", "high": "",
+                    "status": status}
+
         if n > len(validation):
-            for method in methods:
-                rows.append({**base, "method": method, "width": "", "covered": "",
-                             "low": "", "high": "",
-                             "status": f"error: n={n} exceeds validation half size {len(validation)}"})
-            return rows
+            status = f"error: n={n} exceeds validation half size {len(validation)}"
+            return [failed(method, status) for method in methods]
         rng = stream(seed, point_idx, repeat, 0)
         labeled = sorted(rng.choice(val_arr, size=n, replace=False).tolist())
         labeled_true = [true_u[q] for q in labeled]
         if "bootstrap" in methods or "crc" in methods:  # their one resample index
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
                                     seed=child_seed(seed, point_idx, repeat, 1))
+        rows = []
         for method in methods:
             try:
                 if method == "bootstrap":
@@ -230,8 +232,7 @@ def sweep(
                 else:
                     ci = _crc_ci(halves[1], _calibrate(batches, halves[0], alpha))
             except CalibrationInfeasibleError as e:
-                rows.append({**base, "method": method, "width": "", "covered": "",
-                             "low": "", "high": "", "status": f"calibration-infeasible: {e}"})
+                rows.append(failed(method, f"calibration-infeasible: {e}"))
                 continue
             rows.append({**base, "method": method, "width": ci.width,
                          "covered": int(ci.lower <= truth_target <= ci.upper),
@@ -303,14 +304,14 @@ def per_query_rows(
     out = []
     for tau in tau_grid:
         view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
-        pred_u = dict(zip(pool, view_t.predicted_utilities().tolist()))
         cal = _calibrate(batches, view_t.subset(validation), alpha)
-        bounds = zip(*(u.tolist() for u in _per_query_bounds(view_t.subset(ordered), cal)))
-        for q, (lo, hi) in zip(ordered, bounds):
+        test_view = view_t.subset(ordered)
+        bounds = zip(*(u.tolist() for u in _per_query_bounds(test_view, cal)))
+        for q, (lo, hi), pred in zip(ordered, bounds, test_view.predicted_utilities().tolist()):
             low, high = min(lo, hi), max(lo, hi)
             out.append({
                 "tau": tau, "query_id": q, "low": low, "high": high,
-                "truth": true_u[q], "predicted": pred_u[q],
+                "truth": true_u[q], "predicted": pred,
                 "covered": int(low <= true_u[q] <= high),
             })
     return out

@@ -21,7 +21,7 @@ from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
 from rankci.crc import CrcCalibration, crc_ci
 from rankci.errors import ParseError
 from rankci.harness import ROW_FIELDS, load_plan, sweep, write_csv
-from rankci.metrics import parse_metric
+from rankci.metrics import parse_metric, predicted_utilities
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
 
@@ -267,6 +267,28 @@ def test_ci_crc_per_query_rows_equal_one_query_intervals(labeled_corpus, dirichl
                 ci.lower, ci.upper, ci.estimate)
 
 
+def test_ci_crc_estimates_are_the_predicted_utility(labeled_corpus, dirichlet_corpus, tmp_path,
+                                                    capsys):
+    metric = parse_metric("dcg@10")
+    for corpus in (labeled_corpus, dirichlet_corpus):
+        files = ["--run", corpus["run"], "--qrels", corpus["qrels"], "--dists", corpus["dists"]]
+        pq_path, ev_path, cal_path = tmp_path / "pq.csv", tmp_path / "ev.csv", tmp_path / "cal.json"
+        code, _, _ = _run_main(["ci", *files, "--method", "crc", "--per-query",
+                                "--out", str(pq_path), "--save-calibration", str(cal_path)], capsys)
+        assert code == 0
+        assert _run_main(["evaluate", *files, "--out", str(ev_path)], capsys)[0] == 0
+        columns = []
+        for path in (pq_path, ev_path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                columns.append([(row["query_id"], row["predicted"]) for row in csv.DictReader(fh)])
+        assert columns[0] == columns[1]
+        ds = build_dataset(*(Path(corpus[k]).read_text(encoding="utf-8")
+                             for k in ("run", "dists", "qrels")))
+        cal = CrcCalibration.from_text(cal_path.read_text(encoding="utf-8"))
+        predicted = float(np.mean(list(predicted_utilities(metric, ds).values())))
+        assert crc_ci(metric, ds.queries(), ds, cal).estimate.hex() == predicted.hex()
+
+
 def test_ci_crc_per_query_header_reports_the_loaded_records_alpha(labeled_corpus, tmp_path,
                                                                   capsys):
     files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
@@ -370,7 +392,7 @@ def test_ci_refuses_a_calibration_record_without_a_stamp(labeled_corpus, tmp_pat
     code, out, err = _load_calibration(labeled_corpus, cal_path, capsys)
     assert code == 2
     assert out == ""
-    assert "metric=None" in err and "metric=dcg@10" in err
+    assert "malformed calibration record" in err and "'metric'" in err
 
 
 # --- config files ------------------------------------------------------------------

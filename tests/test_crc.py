@@ -1,6 +1,8 @@
 """Risk-controlled intervals: perturbation algebra, batch calibration, and
 the serialised calibration record."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from rankci.crc import (
 )
 from rankci.errors import (
     CalibrationInfeasibleError,
+    CalibrationMismatchError,
     EmptyQuerySetError,
     InsufficientDataError,
     TooFewBatchesError,
@@ -33,6 +36,7 @@ from rankci.synth import SynthConfig, generate
 
 DCG = parse_metric("dcg@10")
 PREC = parse_metric("prec@5")
+STAMP = {"metric": "dcg@10", "max_label": 3}
 
 
 # --- perturbation ------------------------------------------------------------
@@ -365,13 +369,23 @@ def test_crc_ci_report_contents():
         crc_ci(DCG, [], ds, cal)
 
 
+@pytest.mark.parametrize("stamp", [{"metric": "prec@5"}, {"max_label": 3},
+                                   {"metric": None, "max_label": None}])
+def test_crc_ci_refuses_a_record_it_is_not_stamped_for(stamp):
+    ds = _synth()
+    batches = build_batches(ds.queries(), num_batches=30, batch_size=10, seed=8)
+    cal = dataclasses.replace(calibrate(DCG, batches, ds, alpha=0.1), **stamp)
+    with pytest.raises(CalibrationMismatchError):
+        crc_ci(DCG, ds.queries(), ds, cal)
+
+
 # --- the serialised record ----------------------------------------------------------
 
 
 def test_calibration_record_round_trips_exactly():
     cal = CrcCalibration(lambda_low=-0.123456789, lambda_high=0.987654321,
                          alpha=0.05, num_batches=2000,
-                         achieved_loss_low=0.0205, achieved_loss_high=0.0215)
+                         achieved_loss_low=0.0205, achieved_loss_high=0.0215, **STAMP)
     again = CrcCalibration.from_text(cal.to_text())
     assert again == cal
 
@@ -379,16 +393,30 @@ def test_calibration_record_round_trips_exactly():
 def test_calibration_record_validates_itself():
     with pytest.raises(ValueError):
         CrcCalibration(lambda_low=0.5, lambda_high=0.4, alpha=0.05,
-                       num_batches=2000, achieved_loss_low=0.0, achieved_loss_high=0.0)
+                       num_batches=2000, achieved_loss_low=0.0, achieved_loss_high=0.0, **STAMP)
     with pytest.raises(ValueError):
         CrcCalibration(lambda_low=-0.5, lambda_high=0.5, alpha=0.05,
-                       num_batches=2000, achieved_loss_low=0.5, achieved_loss_high=0.0)
+                       num_batches=2000, achieved_loss_low=0.5, achieved_loss_high=0.0, **STAMP)
     with pytest.raises(ValueError):
         CrcCalibration(lambda_low=-1.0, lambda_high=0.5, alpha=0.05,
-                       num_batches=2000, achieved_loss_low=0.0, achieved_loss_high=0.0)
+                       num_batches=2000, achieved_loss_low=0.0, achieved_loss_high=0.0, **STAMP)
 
 
 @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"lambda_low": 0.1}'])
 def test_calibration_record_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         CrcCalibration.from_text(text)
+
+
+@pytest.mark.parametrize("key", ["metric", "max_label"])
+@pytest.mark.parametrize("null", [False, True])
+def test_calibration_record_without_a_stamp_is_malformed(key, null):
+    raw = {"lambda_low": -0.5, "lambda_high": 0.5, "alpha": 0.05, "num_batches": 200,
+           "achieved_loss_low": 0.0, "achieved_loss_high": 0.0, **STAMP}
+    assert CrcCalibration.from_text(json.dumps(raw)).max_label == 3
+    if null:
+        raw[key] = None
+    else:
+        del raw[key]
+    with pytest.raises(ValueError, match=f"malformed calibration record: '{key}'"):
+        CrcCalibration.from_text(json.dumps(raw))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankci import cli, crc
+from rankci import cli, crc, harness
 from rankci.crc import (
     _LAM_EDGE,
     _batch_means,
@@ -26,7 +26,7 @@ from rankci.crc import (
 )
 from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.errors import CalibrationInfeasibleError
-from rankci.harness import sweep
+from rankci.harness import per_query_rows, sweep
 from rankci.metrics import MetricSpec, gain_vector, query_utility_true
 from rankci.model import (Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution,
                           left_sum)
@@ -402,8 +402,9 @@ def test_memo_holds_only_knot_strengths_after_a_sweep(monkeypatch):
                      num_batches=40, alpha=0.2, workers=workers)
 
     alone = run(1)
-    # Per (beta, tau): one validation-half view and one test-half view.
-    assert len(views) == 8
+    # Per (beta, tau): one validation-half view; test-half views only give
+    # intervals and read no knot utility.
+    assert len(views) == 4
     # Four threads on two cores, switching often, share every view's caches.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -411,7 +412,7 @@ def test_memo_holds_only_knot_strengths_after_a_sweep(monkeypatch):
         assert run(4) == alone
     finally:
         sys.setswitchinterval(interval)
-    assert len(views) == 16
+    assert len(views) == 8
     _assert_memos_hold_knots_only(views)
 
 
@@ -428,3 +429,35 @@ def test_memo_holds_only_knot_strengths_after_a_cli_calibration(monkeypatch, tmp
     assert cli.main(argv) == 0
     assert "crc" in capsys.readouterr().out
     _assert_memos_hold_knots_only(views)
+
+
+def test_interval_views_build_neither_knots_nor_memo(monkeypatch, tmp_path, capsys):
+    views = []
+    for module, name in ((crc, "_crc_ci"), (crc, "_per_query_bounds"), (harness, "_crc_ci"),
+                         (harness, "_per_query_bounds"), (cli, "_per_query_bounds")):
+        def recording(view, calibration, read=getattr(module, name)):
+            views.append(view)
+            return read(view, calibration)
+
+        monkeypatch.setattr(module, name, recording)
+    ds = _dirichlet_dataset(2, 40)
+    spec = MetricSpec("dcg", 10, "exponential")
+    sweep(ds, spec, n_grid=(5, 10), beta_grid=(0.0, 0.5), tau_grid=(0.0, 0.5), methods=("crc",),
+          repeats=3, num_batches=40, alpha=0.2)
+    seen = [len(views)]
+    per_query_rows(ds, spec, tau_grid=(0.0, 0.5, 1.0), alpha=0.2)
+    seen.append(len(views))
+    paths = {}
+    for name, text in (("run", write_run(ds.rankings)), ("qrels", write_qrels(ds.truth)),
+                       ("dists", write_dists(ds.predicted))):
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    argv = ["ci", "--method", "crc", "--alpha", "0.2", "--batches", "50",
+            *(f"--{name}={path}" for name, path in paths.items())]
+    for extra in ([], ["--per-query"]):
+        assert cli.main(argv + extra) == 0
+        assert "crc" in capsys.readouterr().out
+        seen.append(len(views))
+    assert 0 < seen[0] < seen[1] < seen[2] < seen[3]
+    for view in views:
+        assert not {"memo", "knots"} & vars(view).keys()
