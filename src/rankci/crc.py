@@ -507,12 +507,18 @@ def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
             view.per_query_utility(calibration.lambda_high))
 
 
+def _crc_bounds(view: _UtilityEngine, calibration: CrcCalibration) -> tuple[float, float]:
+    """:func:`_crc_ci`'s (lower, upper): the two perturbed utilities of a view, ordered."""
+    lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
+    return min(lo, hi), max(lo, hi)
+
+
 def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
     """:func:`crc_ci` over every query of a view, without the stamp check."""
-    lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
+    lower, upper = _crc_bounds(view, calibration)
     est = float(view.predicted_utilities().mean())
     return CiReport(
-        method="crc", estimate=est, lower=min(lo, hi), upper=max(lo, hi), alpha=calibration.alpha,
+        method="crc", estimate=est, lower=lower, upper=upper, alpha=calibration.alpha,
         diagnostics={
             "lambda_low": calibration.lambda_low,
             "lambda_high": calibration.lambda_high,

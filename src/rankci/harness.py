@@ -4,24 +4,25 @@ A plan names a dataset source, a metric, grids over the labeled-query budget
 n, the annotator-bias strength beta, and the oracle-mixing strength tau, and
 a repeat count.  The labeled query pool is split 50:50 once per sweep into a
 validation half and a test half, and the test half's true utility is the
-coverage target throughout.  For every grid point and repeat, the harness
+coverage target throughout.  For every budget n and repeat, the harness
 
 1. draws n labeled queries (without replacement) from the validation half,
-2. hands each method only what it is allowed to see — the true utilities of
-   the n drawn queries, plus (for the prediction-based methods) the predicted
-   distributions of every query, and
+2. hands each method at every (beta, tau) only what it is allowed to see —
+   the true utilities of the n drawn queries, plus (for the prediction-based
+   methods) the predicted distributions of every query, and
 3. records the interval, its width, and whether it covered the test half's
    true utility.
 
-The bootstrap interval is built from the n true utilities alone; the
-prediction-powered interval combines them with predictions over the whole
-pool; the risk-controlled interval calibrates its perturbation bounds on the
-bootstrap's resamples as batches (one index per grid point and repeat:
-common random numbers, which pair the two methods' rows and leave each one's
-guarantee as it was) and is then computed over the test half's predictions
-only.  Repeats may run on several worker threads; every unit of work draws
-from its own seed-derived stream and rows are sorted afterwards, so the
-output is byte-identical regardless of worker count.
+The bootstrap interval is built from the n true utilities alone, once per
+(n, repeat); the prediction-powered interval combines them with predictions
+over the whole pool; the risk-controlled interval calibrates its perturbation
+bounds on the bootstrap's resamples as batches and is then computed over the
+test half's predictions only.  One draw and resample index per (n, repeat)
+serve every method and (beta, tau): common random numbers, which pair the
+rows and leave each method's guarantee as it was.  Units of work run on
+worker threads, each from its own seed-derived stream, and rows are sorted
+after, so the output is byte-identical for any worker count.  Each row is a
+read-only :class:`SweepRow` mapping.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -43,11 +44,11 @@ import numpy as np
 
 from .bootstrap import _percentile_ci, bootstrap_ci
 from .corpus import build_dataset
-# The sweep works on views and resample indices: bootstrap_ci, calibrate, crc_ci,
-# true_utilities, predicted_utilities, bias_dataset and oracle_dataset are not
-# called here; they stay bound because bench/tracing.py patches them here.
-from .crc import (_calibrate, _crc_ci, _per_query_bounds, _UtilityEngine, build_batches,
-                  calibrate, crc_ci)
+# The sweep works on views and resample indices: bootstrap_ci, calibrate, crc_ci, _crc_ci,
+# true_utilities, predicted_utilities, bias_dataset and oracle_dataset are not called
+# here; they stay bound because bench/tracing.py (or, for _crc_ci, a test) patches them.
+from .crc import (_calibrate, _crc_bounds, _crc_ci, _per_query_bounds, _UtilityEngine,
+                  build_batches, calibrate, crc_ci, required_batches)
 from .errors import CalibrationInfeasibleError
 from .metrics import (
     MetricSpec,
@@ -70,6 +71,34 @@ AGG_FIELDS = [
     "coverage", "coverage_band_low", "coverage_band_high", "mean_width",
 ]
 PER_QUERY_FIELDS = ["tau", "query_id", "low", "high", "truth", "predicted", "covered"]
+
+
+class SweepRow(Mapping):
+    """A sweep row: a read-only mapping over :data:`ROW_FIELDS` in that order.  It holds
+    every field but ``width`` in slots and reads ``width`` as ``high - low`` (``""`` on a
+    failed row): 0.12-0.17 KB a row against 0.55 KB as a dict, since callers keep every row."""
+
+    __slots__ = tuple(f for f in ROW_FIELDS if f != "width")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def __getitem__(self, key):
+        if key == "width":
+            return self.high - self.low if self.status == "ok" else ""
+        if key not in self.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(ROW_FIELDS)
+
+    def __len__(self) -> int:
+        return len(ROW_FIELDS)
+
+    def __repr__(self) -> str:
+        return f"SweepRow({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -105,11 +134,12 @@ class ExperimentPlan:
             raise ValueError("a plan needs exactly one dataset source: synth or run/qrels/dists paths")
         if file_source and not (self.run_path and self.qrels_path and self.dists_path):
             raise ValueError("a file-sourced plan needs run, qrels and dists paths")
-        _check_sweep_options(self.alpha, self.repeats, self.workers, self.methods, self.n_grid)
+        _check_sweep_options(self.alpha, self.repeats, self.workers, self.methods, self.n_grid,
+                             self.num_batches)
 
 
 def _check_sweep_options(alpha: float, repeats: int, workers: int, methods: tuple[str, ...],
-                        n_grid: tuple[int, ...]) -> None:
+                        n_grid: tuple[int, ...], num_batches: int) -> None:
     """Raise ``ValueError`` for sweep options no sweep can run with."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -121,6 +151,10 @@ def _check_sweep_options(alpha: float, repeats: int, workers: int, methods: tupl
         raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {methods!r}")
     if not n_grid or any(n < 2 for n in n_grid):
         raise ValueError("n_grid must contain integers >= 2")
+    if "bootstrap" in methods and num_batches < 100:
+        raise ValueError(f"bootstrap needs 100 resamples or more, got num_batches={num_batches}")
+    if "crc" in methods and num_batches < (need := required_batches(alpha)):
+        raise ValueError(f"crc at alpha={alpha} needs {need} batches or more, got num_batches={num_batches}")
 
 
 def default_plan(**overrides) -> ExperimentPlan:
@@ -174,16 +208,18 @@ def sweep(
     seed: int = 7,
     split_seed: int = 11,
     workers: int = 1,
-) -> list[dict]:
-    """Run the repeat grid and return one row dict per method/point/repeat.
+) -> list[SweepRow]:
+    """Run the repeat grid and return one :class:`SweepRow` per method/point/repeat.
 
-    All methods at a grid point and repeat see one labeled draw from the
-    validation half, and bootstrap and crc one resample index of it; coverage
-    is judged against the test half's true utility.  Deterministic for a
-    given seed, independent of ``workers``.
+    Every method and (beta, tau) at a budget n and repeat sees one labeled
+    draw from the validation half, and bootstrap and crc one resample index
+    of it; the one bootstrap interval is emitted for every (beta, tau), and
+    a value repeated in a grid is swept once.  Coverage is judged against
+    the test half's true utility.
+    Deterministic for a given seed, independent of ``workers``.
     Options no sweep can run with raise ``ValueError`` before any work.
     """
-    _check_sweep_options(alpha, repeats, workers, methods, n_grid)
+    _check_sweep_options(alpha, repeats, workers, methods, n_grid, num_batches)
     pool = dataset.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
     val_arr = np.array(validation)
@@ -194,52 +230,47 @@ def sweep(
 
     # Per (beta, tau): the pool's predicted utilities and, for crc, the views
     # of the validation half (every calibration's) and of the test half.
-    points = [(n, beta, tau) for n in n_grid for beta in beta_grid for tau in tau_grid]
+    grid = list(dict.fromkeys((beta, tau) for beta in beta_grid for tau in tau_grid))
     transformed = {}
-    for _, beta, tau in points:
-        if (beta, tau) not in transformed:
-            view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
-            pool_pred = view_t.predicted_utilities().tolist()
-            halves = (view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None
-            transformed[(beta, tau)] = (dict(zip(pool, pool_pred)), pool_pred, halves)
+    for beta, tau in grid:
+        view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
+        pool_pred = view_t.predicted_utilities().tolist()
+        halves = (view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None
+        transformed[(beta, tau)] = (dict(zip(pool, pool_pred)), pool_pred, halves)
 
-    def one_repeat(point_idx: int, repeat: int) -> list[dict]:
-        n, beta, tau = points[point_idx]
-        pred_u, pool_pred, halves = transformed[(beta, tau)]
-        base = {"n": n, "beta": beta, "tau": tau, "repeat": repeat, "truth": truth_target}
-
-        def failed(method: str, status: str) -> dict:
-            return {**base, "method": method, "width": "", "covered": "", "low": "", "high": "",
-                    "status": status}
-
+    def one_repeat(n_idx: int, repeat: int) -> list[SweepRow]:
+        n = n_grid[n_idx]
         if n > len(validation):
             status = f"error: n={n} exceeds validation half size {len(validation)}"
-            return [failed(method, status) for method in methods]
-        rng = stream(seed, point_idx, repeat, 0)
+            return [SweepRow(method, n, beta, tau, repeat, "", "", "", truth_target, status)
+                    for beta, tau in grid for method in methods]
+        rng = stream(seed, n_idx, repeat, 0)
         labeled = sorted(rng.choice(val_arr, size=n, replace=False).tolist())
         labeled_true = [true_u[q] for q in labeled]
         if "bootstrap" in methods or "crc" in methods:  # their one resample index
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
-                                    seed=child_seed(seed, point_idx, repeat, 1))
+                                    seed=child_seed(seed, n_idx, repeat, 1))
+        if "bootstrap" in methods:
+            boot = _percentile_ci(np.array(labeled_true), alpha, num_batches, [batches.index])
         rows = []
-        for method in methods:
-            try:
-                if method == "bootstrap":
-                    ci = _percentile_ci(np.array(labeled_true), alpha, num_batches, [batches.index])
-                elif method == "ppi":
-                    est = ppi_estimate(labeled_true, [pred_u[q] for q in labeled], pool_pred)
-                    ci = ppi_ci(est, alpha)
-                else:
-                    ci = _crc_ci(halves[1], _calibrate(batches, halves[0], alpha))
-            except CalibrationInfeasibleError as e:
-                rows.append(failed(method, f"calibration-infeasible: {e}"))
-                continue
-            rows.append({**base, "method": method, "width": ci.width,
-                         "covered": int(ci.lower <= truth_target <= ci.upper),
-                         "low": ci.lower, "high": ci.upper, "status": "ok"})
+        for beta, tau in grid:
+            pred_u, pool_pred, halves = transformed[(beta, tau)]
+            for method in methods:
+                status, low, high, covered = "ok", "", "", ""
+                try:
+                    if method == "crc":
+                        low, high = _crc_bounds(halves[1], _calibrate(batches, halves[0], alpha))
+                    else:
+                        ci = boot if method == "bootstrap" else ppi_ci(ppi_estimate(
+                            labeled_true, [pred_u[q] for q in labeled], pool_pred), alpha)
+                        low, high = ci.lower, ci.upper
+                    covered = int(low <= truth_target <= high)
+                except CalibrationInfeasibleError as e:
+                    status = f"calibration-infeasible: {e}"
+                rows.append(SweepRow(method, n, beta, tau, repeat, covered, low, high, truth_target, status))
         return rows
 
-    tasks = [(pi, rep) for pi in range(len(points)) for rep in range(repeats)]
+    tasks = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             chunks = list(pool_exec.map(lambda t: one_repeat(*t), tasks))
@@ -247,11 +278,11 @@ def sweep(
         chunks = [one_repeat(*t) for t in tasks]
 
     rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["method"], r["n"], r["beta"], r["tau"], r["repeat"]))
+    rows.sort(key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
     return rows
 
 
-def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[dict]:
+def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[SweepRow]:
     """:func:`sweep` over ``dataset`` with the metric, grids and options of ``plan``."""
     return sweep(dataset, plan.metric, n_grid=plan.n_grid, beta_grid=plan.beta_grid,
                  tau_grid=plan.tau_grid, methods=plan.methods, repeats=plan.repeats,

@@ -458,6 +458,15 @@ def test_sweep_respects_method_subset(capsys):
     assert all(line.startswith("ppi,") for line in body)
 
 
+@pytest.mark.parametrize("batches, method", [("50", "bootstrap"), ("10", "crc")])
+def test_sweep_with_too_few_batches_is_a_usage_error(monkeypatch, capsys, batches, method):
+    monkeypatch.setattr("rankci.cli.generate", lambda *a: pytest.fail("sweep data generated"))
+    code, out, err = _run_main(SWEEP_ARGS + ["--batches", batches, "--methods", method], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"num_batches={batches}" in err
+
+
 def test_sweep_builds_the_same_plan_as_a_plan_file(capsys):
     """``rankci sweep`` and plan files share one plan builder: SWEEP_ARGS give
     the rows of the plan with the corresponding keys."""
@@ -507,6 +516,16 @@ def test_harness_missing_plan_file_is_an_io_error(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert "i/o error" in err
+
+
+def test_harness_with_too_few_batches_exits_1_without_an_output_directory(tmp_path, capsys):
+    code, out, err = _run_harness(
+        tmp_path, "queries = 60\ndocs_per_query = 12\nn_grid = 4\nrepeats = 2\nbatches = 50\n",
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert "num_batches=50" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_harness_infeasible_calibration_exits_3(tmp_path, capsys):

@@ -1,16 +1,22 @@
 """Experiment harness: pool halving, sweeps, aggregation, plan files."""
 
 import csv
+import io
 import json
+import pickle
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from rankci import harness
 from rankci.harness import (
     AGG_FIELDS,
     PER_QUERY_FIELDS,
     ROW_FIELDS,
     ExperimentPlan,
+    SweepRow,
     aggregate,
     default_plan,
     halve_pool,
@@ -18,12 +24,13 @@ from rankci.harness import (
     per_query_rows,
     run_plan,
     sweep,
+    write_csv,
 )
 from rankci import bootstrap
 from rankci.bootstrap import bootstrap_ci
 from rankci.crc import build_batches, calibrate, crc_ci
 from rankci.metrics import dataset_utility, parse_metric, predicted_utilities, true_utilities
-from rankci.model import LabelScale
+from rankci.model import Dataset, LabelScale, RelevanceDistribution
 from rankci.ppi import ppi_ci, ppi_estimate
 from rankci.seeding import child_seed, stream
 from rankci.synth import SynthConfig, bias_dataset, generate, oracle_dataset
@@ -125,6 +132,131 @@ def test_sweep_refuses_options_a_plan_refuses(bad):
         _tiny_sweep(_dataset(), **bad)
 
 
+@pytest.mark.parametrize("methods, num_batches", [
+    (("bootstrap",), 50), (("bootstrap", "ppi"), 99), (("crc",), 10), (("ppi", "crc"), 19),
+])
+def test_sweep_refuses_batch_counts_below_a_methods_floor(monkeypatch, methods, num_batches):
+    """Bootstrap needs 100 resamples and crc at alpha = 0.05 needs 20
+    batches; a sweep refuses fewer before it draws anything."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("build_batches called before the options were checked")
+
+    monkeypatch.setattr(harness, "build_batches", no_draws)
+    with pytest.raises(ValueError, match="num_batches"):
+        _tiny_sweep(_dataset(), methods=methods, num_batches=num_batches)
+    with pytest.raises(ValueError, match="num_batches"):
+        ExperimentPlan(name="x", metric=DCG, synth=default_plan().synth, methods=methods,
+                       num_batches=num_batches)
+
+
+def test_batch_count_floors_are_inclusive_and_ppi_has_none():
+    ds = _dataset()
+    assert {r["status"] for r in _tiny_sweep(ds, methods=("bootstrap",), num_batches=100)} == {"ok"}
+    assert len(_tiny_sweep(ds, methods=("crc",), num_batches=20)) == 2 * 3
+    assert {r["status"] for r in _tiny_sweep(ds, methods=("ppi",), num_batches=1)} == {"ok"}
+    default_plan(methods=("ppi",), num_batches=1)
+
+
+def test_infeasibility_from_the_data_still_gives_rows():
+    """Predictions one-hot at label 0 are unchanged by every strength, so no
+    strength below 1 covers relevant truth: each crc row records the
+    failure, and the other methods' rows are unaffected."""
+    ds = _dataset()
+    blind = Dataset(ds.scale, ds.rankings, ds.truth,
+                    {pair: RelevanceDistribution((1.0, 0.0, 0.0)) for pair in ds.predicted})
+    rows = _tiny_sweep(blind)
+    crc_rows = [r for r in rows if r["method"] == "crc"]
+    assert crc_rows and all(r["status"].startswith("calibration-infeasible: ") for r in crc_rows)
+    assert {r["status"] for r in rows if r["method"] != "crc"} == {"ok"}
+
+
+def test_grid_bootstrap_rows_share_one_interval_per_budget_and_repeat():
+    """Bootstrap reads true utilities only: one interval per (n, repeat),
+    drawn on streams keyed by the index of n and the repeat, serves every
+    (beta, tau) of the grid."""
+    ds = _dataset()
+    n_grid, seed, alpha = (4, 6), 7, 0.1
+    rows = _tiny_sweep(ds, n_grid=n_grid, beta_grid=(0.0, 1.0), tau_grid=(0.0, 0.5),
+                       alpha=alpha, methods=("bootstrap", "ppi"))
+    pool = ds.labeled_queries()
+    validation, _ = halve_pool(pool, 11)
+    true_u = true_utilities(DCG, ds, pool)
+    boot = [r for r in rows if r["method"] == "bootstrap"]
+    assert len(boot) == 2 * 4 * 3 and {r["status"] for r in boot} == {"ok"}
+    for ni, n in enumerate(n_grid):
+        for rep in range(3):
+            rng = stream(seed, ni, rep, 0)
+            labeled = sorted(rng.choice(np.array(validation), size=n, replace=False).tolist())
+            ci = bootstrap_ci([true_u[q] for q in labeled], alpha, resamples=120,
+                              seed=child_seed(seed, ni, rep, 1))
+            group = [r for r in boot if (r["n"], r["repeat"]) == (n, rep)]
+            assert sorted((r["beta"], r["tau"]) for r in group) == [
+                (0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
+            assert {(r["low"], r["high"]) for r in group} == {(ci.lower, ci.upper)}
+
+
+def test_a_value_repeated_in_a_grid_is_swept_once():
+    """Every (beta, tau) of an (n, repeat) shares one draw, so a repeated
+    value would only copy rows and narrow the aggregate's band."""
+    ds = _dataset()
+    once = _tiny_sweep(ds, beta_grid=(0.5,), tau_grid=(0.0, 1.0))
+    assert _tiny_sweep(ds, beta_grid=(0.5, 0.5), tau_grid=(0.0, 1.0, 0.0)) == once
+
+
+def test_sweep_rows_are_read_only_mappings_over_the_row_fields():
+    ok = {"method": "ppi", "n": 10, "beta": 0.5, "tau": 0.0, "repeat": 3, "width": 0.25,
+          "covered": 1, "low": 1.0, "high": 1.25, "truth": 1.1, "status": "ok"}
+    failed = {**ok, "width": "", "covered": "", "low": "", "high": "", "status": "error: x"}
+    for fields in (ok, failed):
+        row = SweepRow(*(fields[k] for k in ROW_FIELDS if k != "width"))
+        assert isinstance(row, Mapping)
+        assert list(row) == ROW_FIELDS and len(row) == len(ROW_FIELDS)
+        for key in ROW_FIELDS:
+            assert row[key] == fields[key] and key in row and row.get(key) == fields[key]
+        for key in ("repeats", "keys", "__slots__", "__class__", "", 0, None):
+            with pytest.raises(KeyError):
+                row[key]
+            assert row.get(key) is None
+            assert key not in row
+        assert row == fields and dict(row) == fields and fields == row
+        assert row != {**fields, "status": "other"}
+        with pytest.raises(TypeError):
+            row["low"] = 0.0
+        copy = pickle.loads(pickle.dumps(row))
+        assert type(copy) is SweepRow and copy == row
+
+
+def test_sweep_rows_write_the_csv_that_dict_rows_write():
+    """The rows of a one-(beta, tau) sweep, failed ones included, write the
+    bytes of plain dict rows built the long way."""
+    ds = _dataset(queries=60, docs=12, seed=4)
+    grid = dict(n_grid=(12, 20), beta_grid=(0.5,), tau_grid=(0.25,), repeats=2, alpha=0.1,
+                num_batches=100, seed=3, split_seed=11)
+    rows = sweep(ds, DCG, **grid)
+    expected = _dataset_level_rows(ds, DCG, **grid)
+    failed = sweep(ds, DCG, n_grid=(40,), repeats=1, num_batches=100)
+    assert all(isinstance(r, SweepRow) for r in rows + failed)
+    for ours, theirs in ((rows, expected), (failed, [dict(r) for r in failed])):
+        written = [io.StringIO(), io.StringIO()]
+        write_csv(written[0], ROW_FIELDS, ours)
+        write_csv(written[1], ROW_FIELDS, theirs)
+        assert written[0].getvalue() == written[1].getvalue()
+
+
+def test_a_sweep_row_takes_at_most_a_quarter_kilobyte():
+    """A run keeps every row; a row with its own two floats (low and high)
+    stays within 0.25 KB, counted with tracemalloc over 50,000 rows."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [SweepRow("ppi", 40, 0.5, 0.5, i % 10, 1, i * 1.0, i + 1.5, 2.5, "ok")
+                for i in range(50_000)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert used / len(rows) <= 250
+
+
 def test_sweep_results_do_not_depend_on_which_other_methods_run():
     """Adding or removing methods must not move any method's draws: the
     bootstrap rows of a bootstrap-only sweep equal the bootstrap rows of a
@@ -221,34 +353,38 @@ def _dataset_level_rows(ds, spec, *, n_grid, beta_grid, tau_grid, repeats, alpha
                         seed, split_seed):
     """The sweep's rows, built the long way: a transformed Dataset per
     (beta, tau) through bias_dataset/oracle_dataset, utilities through the
-    dict helpers, and crc through the public calibrate/crc_ci."""
+    dict helpers, and crc through the public calibrate/crc_ci.  Streams are
+    keyed by (index of n, repeat), and the one bootstrap_ci of an (n, repeat)
+    is copied to every (beta, tau)."""
     pool = ds.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
     true_u = true_utilities(spec, ds, pool)
     truth = dataset_utility(spec, test, true_u)
-    points = [(n, b, t) for n in n_grid for b in beta_grid for t in tau_grid]
+    transformed = {(b, t): oracle_dataset(bias_dataset(ds, b), t)
+                   for b in beta_grid for t in tau_grid}
     rows = []
-    for pi, (n, beta, tau) in enumerate(points):
-        ds_t = oracle_dataset(bias_dataset(ds, beta), tau)
-        pred_u = predicted_utilities(spec, ds_t, pool)
+    for ni, n in enumerate(n_grid):
         for rep in range(repeats):
-            base = {"n": n, "beta": beta, "tau": tau, "repeat": rep, "truth": truth}
-            rng = stream(seed, pi, rep, 0)
+            rng = stream(seed, ni, rep, 0)
             labeled = sorted(rng.choice(np.array(validation), size=n, replace=False).tolist())
             labeled_true = [true_u[q] for q in labeled]
-            cis = {
-                "bootstrap": bootstrap_ci(labeled_true, alpha, resamples=num_batches,
-                                          seed=child_seed(seed, pi, rep, 1)),
-                "ppi": ppi_ci(ppi_estimate(labeled_true, [pred_u[q] for q in labeled],
-                                           [pred_u[q] for q in pool]), alpha),
-            }
+            boot = bootstrap_ci(labeled_true, alpha, resamples=num_batches,
+                                seed=child_seed(seed, ni, rep, 1))
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
-                                    seed=child_seed(seed, pi, rep, 1))
-            cis["crc"] = crc_ci(spec, test, ds_t, calibrate(spec, batches, ds_t, alpha))
-            for method, ci in cis.items():
-                rows.append({**base, "method": method, "width": ci.width,
-                             "covered": int(ci.lower <= truth <= ci.upper),
-                             "low": ci.lower, "high": ci.upper, "status": "ok"})
+                                    seed=child_seed(seed, ni, rep, 1))
+            for (beta, tau), ds_t in transformed.items():
+                pred_u = predicted_utilities(spec, ds_t, pool)
+                base = {"n": n, "beta": beta, "tau": tau, "repeat": rep, "truth": truth}
+                cis = {
+                    "bootstrap": boot,
+                    "ppi": ppi_ci(ppi_estimate(labeled_true, [pred_u[q] for q in labeled],
+                                               [pred_u[q] for q in pool]), alpha),
+                    "crc": crc_ci(spec, test, ds_t, calibrate(spec, batches, ds_t, alpha)),
+                }
+                for method, ci in cis.items():
+                    rows.append({**base, "method": method, "width": ci.width,
+                                 "covered": int(ci.lower <= truth <= ci.upper),
+                                 "low": ci.lower, "high": ci.upper, "status": "ok"})
     rows.sort(key=lambda r: (r["method"], r["n"], r["beta"], r["tau"], r["repeat"]))
     return rows
 
@@ -343,7 +479,7 @@ def test_load_plan_parses_overrides():
     tau_grid = 0,0.5,1
     methods = bootstrap,crc
     repeats = 12
-    batches = 60
+    batches = 600
     alpha = 0.1
     seed = 42
     split_seed = 13
@@ -359,6 +495,7 @@ def test_load_plan_parses_overrides():
     assert plan.beta_grid == (0.0, 1.0)
     assert plan.tau_grid == (0.0, 0.5, 1.0)
     assert plan.methods == ("bootstrap", "crc")
+    assert plan.num_batches == 600
     assert plan.split_seed == 13
     assert plan.output_dir == "out-here"
 
