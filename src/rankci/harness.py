@@ -19,7 +19,9 @@ over the whole pool; the risk-controlled interval calibrates its perturbation
 bounds on the bootstrap's resamples as batches and is then computed over the
 test half's predictions only.  One draw and resample index per (n, repeat)
 serve every method and (beta, tau): common random numbers, which pair the
-rows and leave each method's guarantee as it was.  Units of work run on
+rows and leave each method's guarantee as it was.  ppi computes each (beta, tau)'s
+pool mean and variance once and gathers every point's labeled predictions once per
+(n, repeat), with the bits of ``ppi_ci(ppi_estimate(...))``.  Units of work run on
 worker threads, each from its own seed-derived stream, and rows are sorted
 after, so the output is byte-identical for any worker count.  Each row is a
 read-only :class:`SweepRow` mapping.
@@ -44,11 +46,11 @@ import numpy as np
 
 from .bootstrap import _percentile_ci, bootstrap_ci
 from .corpus import build_dataset
-# The sweep works on views and resample indices: bootstrap_ci, calibrate, crc_ci, _crc_ci,
-# true_utilities, predicted_utilities, bias_dataset and oracle_dataset are not called
-# here; they stay bound because bench/tracing.py (or, for _crc_ci, a test) patches them.
-from .crc import (_calibrate, _crc_bounds, _crc_ci, _per_query_bounds, _UtilityEngine,
-                  build_batches, calibrate, crc_ci, required_batches)
+# The sweep works on views, resample indices and utility stacks: bootstrap_ci, calibrate,
+# crc_ci, ppi_estimate, ppi_ci, true_utilities, predicted_utilities, bias_dataset and
+# oracle_dataset are not called here; they stay bound because bench/tracing.py patches them.
+from .crc import (_calibrate, _crc_bounds, _per_query_bounds, _UtilityEngine, build_batches,
+                  calibrate, crc_ci, required_batches)
 from .errors import CalibrationInfeasibleError
 from .metrics import (
     MetricSpec,
@@ -59,7 +61,7 @@ from .metrics import (
     true_utilities,
 )
 from .model import Dataset, LabelScale
-from .ppi import ppi_ci, ppi_estimate
+from .ppi import _ppi_bounds, _ppi_pool, ppi_ci, ppi_estimate
 from .seeding import child_seed, stream
 from .synth import SynthConfig, bias_dataset, bias_probs, generate, oracle_dataset, oracle_probs
 
@@ -222,21 +224,23 @@ def sweep(
     _check_sweep_options(alpha, repeats, workers, methods, n_grid, num_batches)
     pool = dataset.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
-    val_arr = np.array(validation)
+    val_pos = np.searchsorted(pool, validation)  # the validation half's rows in the sorted pool
 
     view = _UtilityEngine(spec, dataset, pool)
-    true_u = dict(zip(pool, view.true_utilities().tolist()))
-    truth_target = dataset_utility(spec, test, true_u)
+    true_pool = view.true_utilities()
+    truth_target = dataset_utility(spec, test, dict(zip(pool, true_pool.tolist())))
 
-    # Per (beta, tau): the pool's predicted utilities and, for crc, the views
-    # of the validation half (every calibration's) and of the test half.
+    # Per (beta, tau): a row of the pool's predicted utilities in one read-only stack, and,
+    # for crc, the views of the validation half (every calibration's) and of the test half.
     grid = list(dict.fromkeys((beta, tau) for beta in beta_grid for tau in tau_grid))
-    transformed = {}
+    preds, halves = [], []
     for beta, tau in grid:
         view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
-        pool_pred = view_t.predicted_utilities().tolist()
-        halves = (view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None
-        transformed[(beta, tau)] = (dict(zip(pool, pool_pred)), pool_pred, halves)
+        preds.append(view_t.predicted_utilities())
+        halves.append((view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None)
+    preds = np.array(preds)
+    preds.flags.writeable = False
+    ppi_pool = _ppi_pool(preds, alpha)
 
     def one_repeat(n_idx: int, repeat: int) -> list[SweepRow]:
         n = n_grid[n_idx]
@@ -245,25 +249,24 @@ def sweep(
             return [SweepRow(method, n, beta, tau, repeat, "", "", "", truth_target, status)
                     for beta, tau in grid for method in methods]
         rng = stream(seed, n_idx, repeat, 0)
-        labeled = sorted(rng.choice(val_arr, size=n, replace=False).tolist())
-        labeled_true = [true_u[q] for q in labeled]
+        pos = np.sort(rng.choice(val_pos, size=n, replace=False))
+        labeled, labeled_true = [pool[i] for i in pos.tolist()], true_pool[pos]
         if "bootstrap" in methods or "crc" in methods:  # their one resample index
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
                                     seed=child_seed(seed, n_idx, repeat, 1))
         if "bootstrap" in methods:
-            boot = _percentile_ci(np.array(labeled_true), alpha, num_batches, [batches.index])
+            boot = _percentile_ci(labeled_true, alpha, num_batches, [batches.index])
+        if "ppi" in methods:  # one gather of every (beta, tau)'s labeled errors
+            lows, highs = (b.tolist() for b in _ppi_bounds(labeled_true - preds[:, pos], ppi_pool))
         rows = []
-        for beta, tau in grid:
-            pred_u, pool_pred, halves = transformed[(beta, tau)]
+        for g, (beta, tau) in enumerate(grid):
             for method in methods:
                 status, low, high, covered = "ok", "", "", ""
                 try:
                     if method == "crc":
-                        low, high = _crc_bounds(halves[1], _calibrate(batches, halves[0], alpha))
+                        low, high = _crc_bounds(halves[g][1], _calibrate(batches, halves[g][0], alpha))
                     else:
-                        ci = boot if method == "bootstrap" else ppi_ci(ppi_estimate(
-                            labeled_true, [pred_u[q] for q in labeled], pool_pred), alpha)
-                        low, high = ci.lower, ci.upper
+                        low, high = (lows[g], highs[g]) if method == "ppi" else (boot.lower, boot.upper)
                     covered = int(low <= truth_target <= high)
                 except CalibrationInfeasibleError as e:
                     status = f"calibration-infeasible: {e}"
@@ -277,9 +280,8 @@ def sweep(
     else:
         chunks = [one_repeat(*t) for t in tasks]
 
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
-    return rows
+    return sorted((row for chunk in chunks for row in chunk),
+                  key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
 
 
 def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[SweepRow]:

@@ -16,6 +16,9 @@ normal one,
 with both variances taken as unbiased sample variances.  With constant
 predictions the whole thing collapses to the classical normal interval for
 the labeled mean.
+
+A sweep computes each (beta, tau) pool's mean and variance once and gathers every
+labeled draw's errors at once; each row is reduced alone, with ``ppi_ci``'s bits.
 """
 
 from __future__ import annotations
@@ -100,3 +103,18 @@ def ppi_ci(est: PpiEstimate, alpha: float = 0.05) -> CiReport:
             "z": z,
         },
     )
+
+
+def _ppi_pool(preds: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each row's mean and ``var_pred / N`` for a ``G x N`` stack of pool predictions, and z."""
+    return (np.array([row.mean() for row in preds]),
+            np.array([row.var(ddof=1) for row in preds]) / preds.shape[1],
+            NormalDist().inv_cdf(1.0 - alpha / 2.0))
+
+
+def _ppi_bounds(errors: np.ndarray, pool: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` of :func:`ppi_ci` per row of ``G x n`` labeled errors (true - predicted)."""
+    pool_mean, pool_term, z = pool
+    estimate = pool_mean + np.array([row.mean() for row in errors])
+    half = z * np.sqrt(np.array([row.var(ddof=1) for row in errors]) / errors.shape[1] + pool_term)
+    return estimate - half, estimate + half

@@ -433,7 +433,7 @@ def test_memo_holds_only_knot_strengths_after_a_cli_calibration(monkeypatch, tmp
 
 def test_interval_views_build_neither_knots_nor_memo(monkeypatch, tmp_path, capsys):
     views = []
-    for module, name in ((crc, "_crc_ci"), (crc, "_per_query_bounds"), (harness, "_crc_ci"),
+    for module, name in ((crc, "_crc_ci"), (crc, "_per_query_bounds"),
                          (harness, "_per_query_bounds"), (cli, "_per_query_bounds")):
         def recording(view, calibration, read=getattr(module, name)):
             views.append(view)

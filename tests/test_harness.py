@@ -106,6 +106,26 @@ def test_sweep_is_deterministic_and_worker_independent():
     assert a != d
 
 
+def test_grid_sweep_is_worker_independent_over_one_read_only_stack(monkeypatch):
+    stacks = []
+
+    def recording(preds, alpha, read=harness._ppi_pool):
+        stacks.append(preds)
+        return read(preds, alpha)
+
+    monkeypatch.setattr(harness, "_ppi_pool", recording)
+    ds = _dataset()
+    grid = dict(beta_grid=(0.0, 1.0), tau_grid=(0.0, 0.5, 1.0), methods=("bootstrap", "ppi", "crc"),
+                alpha=0.2)
+    rows = _tiny_sweep(ds, **grid)
+    assert len(rows) == 3 * 2 * 6 * 3  # methods x budgets x (beta, tau) points x repeats
+    assert {r["status"] for r in rows} == {"ok"}
+    assert rows == _tiny_sweep(ds, workers=3, **grid)
+    # Worker threads share the stack of pool predictions, one row per (beta, tau).
+    assert [s.shape for s in stacks] == [(6, len(ds.labeled_queries()))] * 2
+    assert not any(s.flags.writeable for s in stacks)
+
+
 def test_sweep_methods_subset():
     ds = _dataset()
     rows = _tiny_sweep(ds, methods=("bootstrap",))

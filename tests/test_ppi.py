@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rankci.errors import InsufficientDataError
-from rankci.ppi import ppi_ci, ppi_estimate
+from rankci.ppi import _ppi_bounds, _ppi_pool, ppi_ci, ppi_estimate
 from rankci.seeding import stream
 
 
@@ -98,3 +100,25 @@ def test_estimate_is_unbiased_over_subsample_draws():
     target = float(population_true.mean())
     mc_se = estimates.std(ddof=1) / np.sqrt(draws)
     assert abs(estimates.mean() - target) < 4 * mc_se
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(g=st.integers(1, 9), n=st.integers(2, 100), size=st.integers(2, 300),
+       alpha=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1),
+       constant_pool=st.booleans(), exact_labels=st.booleans())
+def test_stacked_bounds_equal_ppi_ci_in_hex(g, n, size, alpha, seed, constant_pool, exact_labels):
+    """The sweep's stacked kernel, fed the sweep's gather of labeled errors, gives
+    every row the bits of ppi_ci(ppi_estimate(...)), also where the pool's variance
+    (a constant row) or the errors' (predictions equal to the labels) is zero."""
+    rng = stream(seed)
+    pred_all = rng.normal(rng.normal(size=(g, 1)), rng.gamma(2.0, size=(g, 1)), size=(g, size))
+    if constant_pool:
+        pred_all[0] = rng.integers(-8, 9) / 4.0
+    pos = np.sort(rng.integers(0, size, size=n))
+    true = pred_all[-1, pos] if exact_labels else rng.normal(rng.normal(), rng.gamma(2.0), size=n)
+    lows, highs = _ppi_bounds(true - pred_all[:, pos], _ppi_pool(pred_all, alpha))
+    cis = [ppi_ci(ppi_estimate(true, pa[pos], pa), alpha) for pa in pred_all]
+    assert [x.hex() for x in lows.tolist()] == [ci.lower.hex() for ci in cis]
+    assert [x.hex() for x in highs.tolist()] == [ci.upper.hex() for ci in cis]
+    assert not constant_pool or cis[0].diagnostics["var_pred"] == 0.0
+    assert not exact_labels or cis[-1].diagnostics["var_error"] == 0.0
