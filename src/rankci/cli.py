@@ -31,7 +31,7 @@ from pathlib import Path
 from .bootstrap import bootstrap_ci
 # parse_qrels and parse_run are not called here; bench/tracing.py patches them.
 from .corpus import build_dataset, infer_scale_from_dists, parse_qrels, parse_run
-from .crc import (CrcCalibration, _per_query_bounds, _UtilityEngine, build_batches, calibrate,
+from .crc import (CrcCalibration, _per_query_intervals, _UtilityEngine, build_batches, calibrate,
                   crc_ci)
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
 # sweep is not called here (sweep_plan calls it); bench/tracing.py patches it.
@@ -272,11 +272,9 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
                       true_u: dict[str, float], out_path: str | None) -> int:
     """One crc interval per query, all read from a single view of the dataset."""
     queries = dataset.queries()
-    view = _UtilityEngine(metric, dataset, queries)
-    bounds = zip(*(u.tolist() for u in _per_query_bounds(view, cal)))
-    rows = [{"query_id": q, "low": min(lo, hi), "high": max(lo, hi), "predicted": est,
-             "true": true_u.get(q, "")}
-            for q, (lo, hi), est in zip(queries, bounds, view.predicted_utilities().tolist())]
+    intervals = _per_query_intervals(_UtilityEngine(metric, dataset, queries), cal)
+    rows = [{"query_id": q, "low": lo, "high": hi, "predicted": est, "true": true_u.get(q, "")}
+            for q, (lo, hi, est) in zip(queries, intervals)]
     print(f"method: crc (per-query)  metric: {format_metric(metric)}  alpha: {cal.alpha}")
     print(f"lambda_low: {cal.lambda_low:.6f}  lambda_high: {cal.lambda_high:.6f}")
     print(f"{'query':<24} {'low':>12} {'high':>12} {'predicted':>12} {'true':>12}")

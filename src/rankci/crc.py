@@ -72,18 +72,18 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _perturb_rows(probs: np.ndarray, lam: float, below=None) -> np.ndarray:
+def _perturb_rows(probs: np.ndarray, lam: float) -> np.ndarray:
     """Perturb every row of a (rows, labels) matrix at strength ``lam``.
 
     Rows must be valid probability vectors.  Returns each row renormalised by
-    its own ``left_sum``; at lam = 0, ``probs`` itself.  ``below`` may give
-    ``np.cumsum(p, axis=1) - p`` for ``p`` = ``probs`` and its mirror.
+    its own ``left_sum``; at lam = 0, ``probs`` itself.  A negative strength
+    perturbs the mirrored rows and mirrors the result back.
     """
     if lam == 0.0:
         return probs
     if lam < 0.0:
-        return _perturb_rows(probs[:, ::-1], -lam, below and below[::-1])[:, ::-1]
-    below = np.cumsum(probs, axis=1) - probs if below is None else below[0]
+        return _perturb_rows(probs[:, ::-1], -lam)[:, ::-1]
+    below = np.cumsum(probs, axis=1) - probs
     q = np.maximum(0.0, probs - np.maximum(0.0, lam - below))
     return q / left_sum(q)[:, None]
 
@@ -133,17 +133,12 @@ class _UtilityEngine(UtilityView):
     utilities: ``per_query_utility(lam)`` perturbs every row at once and sums
     weight * expected gain per query.
 
-    Caches, filled on first use and never copied by ``subset`` or
-    ``with_probs``: the masses below each label of the rows and of their
-    mirrors, the knots, query positions, true utilities, and a memo of
-    perturbed utilities at knot strengths only."""
+    Two caches, filled on first use and never copied by ``subset`` or
+    ``with_probs``: the knots and a memo of perturbed utilities at knot
+    strengths only.  Only calibration reads them."""
 
-    _CACHES = ("below", "knots", "where", "truth", "memo")
-    below = functools.cached_property(
-        lambda self: tuple(np.cumsum(p, axis=1) - p for p in (self.probs, self.probs[:, ::-1])))
+    _CACHES = ("knots", "memo")
     knots = functools.cached_property(lambda self: _knots(self.probs))
-    where = functools.cached_property(lambda self: {q: i for i, q in enumerate(self.query_ids)})
-    truth = functools.cached_property(lambda self: self.true_utilities())
     memo = functools.cached_property(lambda self: {})
 
     def __copy__(self):
@@ -153,7 +148,7 @@ class _UtilityEngine(UtilityView):
 
     def per_query_utility(self, lam: float) -> np.ndarray:
         """Perturbed utility of every query, in query_ids order."""
-        return self._per_query(left_sum(_perturb_rows(self.probs, lam, self.below) * self.gains))
+        return self._per_query(left_sum(_perturb_rows(self.probs, lam) * self.gains))
 
     def knot_utility(self, lam: float) -> np.ndarray:
         """``per_query_utility(lam)``, memoised read-only at a knot.  Calibration
@@ -450,8 +445,9 @@ def _calibrate(
     label scale; it searches the view's knots and shares the view's memo."""
     batches, allowed = _checked_batches(batches, alpha)
     batch_mean = _batch_means(batches.index, len(batches.pool))
-    pos = np.fromiter(map(view.where.__getitem__, batches.pool), np.intp, len(batches.pool))
-    batch_true = batch_mean(view.truth[pos])
+    where = {q: i for i, q in enumerate(view.query_ids)}
+    pos = np.fromiter(map(where.__getitem__, batches.pool), np.intp, len(batches.pool))
+    batch_true = batch_mean(view.true_utilities()[pos])
 
     @functools.cache  # the two searches share their evaluations at common knots
     def gap(lam: float) -> np.ndarray:
@@ -497,7 +493,20 @@ def crc_ci(
     if not qs:
         raise EmptyQuerySetError("interval over an empty query set")
     calibration.check_applies(spec, dataset.scale)
-    return _crc_ci(_UtilityEngine(spec, dataset, qs), calibration)
+    view = _UtilityEngine(spec, dataset, qs)
+    lower, upper = _crc_bounds(view, calibration)
+    return CiReport(
+        method="crc", estimate=float(view.predicted_utilities().mean()), lower=lower, upper=upper,
+        alpha=calibration.alpha,
+        diagnostics={
+            "lambda_low": calibration.lambda_low,
+            "lambda_high": calibration.lambda_high,
+            "achieved_loss_low": calibration.achieved_loss_low,
+            "achieved_loss_high": calibration.achieved_loss_high,
+            "num_batches": float(calibration.num_batches),
+            "threshold": calibration_threshold(calibration.alpha, calibration.num_batches),
+        },
+    )
 
 
 def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
@@ -508,23 +517,14 @@ def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
 
 
 def _crc_bounds(view: _UtilityEngine, calibration: CrcCalibration) -> tuple[float, float]:
-    """:func:`_crc_ci`'s (lower, upper): the two perturbed utilities of a view, ordered."""
+    """:func:`crc_ci`'s (lower, upper) over every query of a view, without the stamp check."""
     lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
     return min(lo, hi), max(lo, hi)
 
 
-def _crc_ci(view: _UtilityEngine, calibration: CrcCalibration) -> CiReport:
-    """:func:`crc_ci` over every query of a view, without the stamp check."""
-    lower, upper = _crc_bounds(view, calibration)
-    est = float(view.predicted_utilities().mean())
-    return CiReport(
-        method="crc", estimate=est, lower=lower, upper=upper, alpha=calibration.alpha,
-        diagnostics={
-            "lambda_low": calibration.lambda_low,
-            "lambda_high": calibration.lambda_high,
-            "achieved_loss_low": calibration.achieved_loss_low,
-            "achieved_loss_high": calibration.achieved_loss_high,
-            "num_batches": float(calibration.num_batches),
-            "threshold": calibration_threshold(calibration.alpha, calibration.num_batches),
-        },
-    )
+def _per_query_intervals(view: _UtilityEngine, calibration: CrcCalibration):
+    """``(low, high, predicted)`` of every query of a view, in query_ids order and
+    without the stamp check: the bits of a one-query :func:`crc_ci`'s interval."""
+    bounds = zip(*(u.tolist() for u in _per_query_bounds(view, calibration)))
+    return [(min(lo, hi), max(lo, hi), pred)
+            for (lo, hi), pred in zip(bounds, view.predicted_utilities().tolist())]

@@ -49,7 +49,7 @@ from .corpus import build_dataset
 # The sweep works on views, resample indices and utility stacks: bootstrap_ci, calibrate,
 # crc_ci, ppi_estimate, ppi_ci, true_utilities, predicted_utilities, bias_dataset and
 # oracle_dataset are not called here; they stay bound because bench/tracing.py patches them.
-from .crc import (_calibrate, _crc_bounds, _per_query_bounds, _UtilityEngine, build_batches,
+from .crc import (_calibrate, _crc_bounds, _per_query_intervals, _UtilityEngine, build_batches,
                   calibrate, crc_ci, required_batches)
 from .errors import CalibrationInfeasibleError
 from .metrics import (
@@ -301,19 +301,16 @@ def aggregate(rows: list[dict]) -> list[dict]:
     for key in sorted(groups, key=lambda k: (str(k[0]), k[1], k[2], k[3])):
         method, n, beta, tau = key
         ok = [r for r in groups[key] if r["status"] == "ok"]
-        failures = len(groups[key]) - len(ok)
+        p = band_low = band_high = mean_width = ""  # a group with no ok run
         if ok:
             p = sum(r["covered"] for r in ok) / len(ok)
             band = 1.96 * float(np.sqrt(p * (1.0 - p) / len(ok)))
+            band_low, band_high = p - band, p + band
             mean_width = sum(r["width"] for r in ok) / len(ok)
-            out.append({"method": method, "n": n, "beta": beta, "tau": tau,
-                        "runs": len(ok), "failures": failures, "coverage": p,
-                        "coverage_band_low": p - band, "coverage_band_high": p + band,
-                        "mean_width": mean_width})
-        else:
-            out.append({"method": method, "n": n, "beta": beta, "tau": tau,
-                        "runs": 0, "failures": failures, "coverage": "",
-                        "coverage_band_low": "", "coverage_band_high": "", "mean_width": ""})
+        out.append({"method": method, "n": n, "beta": beta, "tau": tau,
+                    "runs": len(ok), "failures": len(groups[key]) - len(ok), "coverage": p,
+                    "coverage_band_low": band_low, "coverage_band_high": band_high,
+                    "mean_width": mean_width})
     return out
 
 
@@ -338,10 +335,7 @@ def per_query_rows(
     for tau in tau_grid:
         view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
         cal = _calibrate(batches, view_t.subset(validation), alpha)
-        test_view = view_t.subset(ordered)
-        bounds = zip(*(u.tolist() for u in _per_query_bounds(test_view, cal)))
-        for q, (lo, hi), pred in zip(ordered, bounds, test_view.predicted_utilities().tolist()):
-            low, high = min(lo, hi), max(lo, hi)
+        for q, (low, high, pred) in zip(ordered, _per_query_intervals(view_t.subset(ordered), cal)):
             out.append({
                 "tau": tau, "query_id": q, "low": low, "high": high,
                 "truth": true_u[q], "predicted": pred,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankci import cli, crc, harness
+from rankci import cli, crc
 from rankci.crc import (
     _LAM_EDGE,
     _batch_means,
@@ -320,7 +320,6 @@ def test_cached_evaluations_are_bit_equal_to_the_perturbed_rows(seed, num_querie
     view = _UtilityEngine(spec, ds, ds.queries())
     for lam in _probe_strengths(view.knots, picks):
         rows = left_sum(_perturb_rows(view.probs, lam) * view.gains)
-        assert _hex(left_sum(_perturb_rows(view.probs, lam, view.below) * view.gains)) == _hex(rows)
         expected = _hex(view._per_query(rows))
         assert _hex(view.per_query_utility(lam)) == expected
         assert _hex(view.knot_utility(lam)) == expected
@@ -355,16 +354,12 @@ def test_subset_and_with_probs_start_without_the_views_caches():
     probe = [0.0, float(view.knots[3]), float(view.knots[-4])]
     for lam in probe:
         view.knot_utility(lam)
-    assert view.truth is not None and view.where and len(view.memo) == 3
+    assert len(view.memo) == 3
     flipped = view.with_probs(view.probs[:, ::-1].copy())
     picked = view.subset(ds.queries()[::-2])
     for out in (flipped, picked):
         assert not set(_UtilityEngine._CACHES) & vars(out).keys()
         assert _hex(out.knots) == _hex(_knots(out.probs))
-        assert out.where == {q: i for i, q in enumerate(out.query_ids)}
-        assert _hex(out.truth) == _hex(out.true_utilities())
-        for got, p in zip(out.below, (out.probs, out.probs[:, ::-1])):
-            assert _hex(got) == _hex(np.cumsum(p, axis=1) - p)
         for lam in [*probe, 0.3, -0.3]:
             expected = _hex(out._per_query(left_sum(_perturb_rows(out.probs, lam) * out.gains)))
             assert _hex(out.knot_utility(lam)) == expected
@@ -433,13 +428,11 @@ def test_memo_holds_only_knot_strengths_after_a_cli_calibration(monkeypatch, tmp
 
 def test_interval_views_build_neither_knots_nor_memo(monkeypatch, tmp_path, capsys):
     views = []
-    for module, name in ((crc, "_crc_ci"), (crc, "_per_query_bounds"),
-                         (harness, "_per_query_bounds"), (cli, "_per_query_bounds")):
-        def recording(view, calibration, read=getattr(module, name)):
-            views.append(view)
-            return read(view, calibration)
+    def recording(view, calibration, read=crc._per_query_bounds):
+        views.append(view)
+        return read(view, calibration)
 
-        monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(crc, "_per_query_bounds", recording)
     ds = _dirichlet_dataset(2, 40)
     spec = MetricSpec("dcg", 10, "exponential")
     sweep(ds, spec, n_grid=(5, 10), beta_grid=(0.0, 0.5), tau_grid=(0.0, 0.5), methods=("crc",),

@@ -28,6 +28,7 @@ from rankci.harness import (
 )
 from rankci import bootstrap
 from rankci.bootstrap import bootstrap_ci
+from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.crc import build_batches, calibrate, crc_ci
 from rankci.metrics import dataset_utility, parse_metric, predicted_utilities, true_utilities
 from rankci.model import Dataset, LabelScale, RelevanceDistribution
@@ -566,3 +567,22 @@ def test_run_plan_writes_all_artifacts(tmp_path):
                    and r["status"] == "ok"]
         coverage = sum(int(r["covered"]) for r in members) / len(members)
         assert coverage == pytest.approx(agg["coverage"])
+
+
+def test_a_file_sourced_plan_writes_the_artifacts_of_its_synthetic_twin(tmp_path):
+    grid = "n_grid = 4,8\nbeta_grid = 0,0.5\ntau_grid = 0,0.5\nrepeats = 3\nbatches = 120\n"
+    synthetic = load_plan(f"{grid}queries = 40\ndocs_per_query = 20\n"
+                          f"output_dir = {tmp_path / 'synthetic'}\n")
+    ds = generate(synthetic.synth)
+    for name, text in (("run", write_run(ds.rankings)), ("qrels", write_qrels(ds.truth)),
+                       ("dists", write_dists(ds.predicted))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    files = load_plan(f"{grid}run = {tmp_path / 'run'}\nqrels = {tmp_path / 'qrels'}\n"
+                      f"dists = {tmp_path / 'dists'}\noutput_dir = {tmp_path / 'files'}\n")
+    assert files.synth is None
+    expected, got = run_plan(synthetic), run_plan(files)
+    for name in ("rows.csv", "aggregate.csv", "per_query.csv"):
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+    summaries = [json.loads((d / "summary.json").read_text(encoding="utf-8")) for d in (expected, got)]
+    assert [s.pop("source") for s in summaries] == ["synthetic", "files"]
+    assert summaries[0] == summaries[1]
