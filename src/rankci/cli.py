@@ -39,12 +39,9 @@ from .harness import (
     PLAN_KEYS,
     ROW_FIELDS,
     build_plan,
-    float_list,
-    int_list,
     load_plan,
     parse_kv,
     run_plan,
-    str_list,
     sweep,
     sweep_plan,
     write_csv,
@@ -84,19 +81,42 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    # Any key is accepted: one config file may serve every command.
-    return parse_kv(_read(path), what="config") if path is not None else {}
+# Each command's options, key -> (parser, default, help).  A key is both the
+# long flag (with hyphens) and the --config key; build_parser adds one flag per
+# key, with no value for a _bool, and _options resolves every key the same way.
+_FILES = {
+    "metric": (str, "dcg@10", "dcg@K or prec@K (default dcg@10)"),
+    "out": (str, None, "write machine-readable output to this .csv or .json path"),
+    "run": (str, None, "run file (qid Q0 docid rank score tag)"),
+    "qrels": (str, None, "judgments file (qid iter docid label)"),
+    "dists": (str, None, "predicted label distributions (JSON lines)"),
+    "max_label": (int, None, "label scale override (default: inferred)"),
+}
+_CI = {
+    **_FILES,
+    "method": (str, "bootstrap", "bootstrap, ppi or crc (default bootstrap)"),
+    "alpha": (float, 0.05, "miscoverage level (default 0.05)"),
+    "seed": (int, 0, "random seed (default 0)"),
+    "batches": (int, 10_000, "calibration batches / bootstrap resamples (default 10000)"),
+    "batch_size": (int, None, "crc only: queries per calibration batch (default: all labeled)"),
+    "per_query": (_bool, False,
+                  "crc only: calibrate on singleton batches and report one interval per query"),
+    "save_calibration": (str, None, "crc only: write the calibrated record to this path"),
+    "load_calibration": (str, None,
+                         "crc only: reuse a saved calibration record instead of calibrating"),
+}
 
 
-def _resolve(args, cfg: dict[str, str], key: str, conv, default):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return conv(cfg[key])
-    return default
+def _options(args, table) -> argparse.Namespace:
+    """Every option of ``table``: its flag if given, else its ``--config``
+    entry read by the same parser, else its default."""
+    # Any config key is accepted: one config file may serve every command.
+    cfg = parse_kv(_read(args.config), what="config") if args.config is not None else {}
+    values = {}
+    for key, (parse, default, _) in table.items():
+        flag = getattr(args, key)
+        values[key] = flag if flag is not None else parse(cfg[key]) if key in cfg else default
+    return argparse.Namespace(**values)
 
 
 def _read(path: str) -> str:
@@ -115,19 +135,19 @@ def _scale_from_qrels_text(text: str) -> LabelScale:
     return LabelScale(max_label)
 
 
-def _load_dataset(run_path: str, dists_path: str | None, qrels_path: str | None,
-                  max_label: int | None) -> Dataset:
-    run_text = _read(run_path)
-    if dists_path is not None:
-        dists_text = _read(dists_path)
-        scale = LabelScale(max_label) if max_label is not None else infer_scale_from_dists(dists_text)
-        qrels_text = _read(qrels_path) if qrels_path is not None else None
+def _load_dataset(o: argparse.Namespace) -> Dataset:
+    """The dataset that the ``_FILES`` options ``o`` name."""
+    run_text = _read(o.run)
+    if o.dists is not None:
+        dists_text = _read(o.dists)
+        scale = LabelScale(o.max_label) if o.max_label is not None else infer_scale_from_dists(dists_text)
+        qrels_text = _read(o.qrels) if o.qrels is not None else None
     else:
         # No distributions: judgments only (enough for the bootstrap method).
-        dists_text, qrels_text = "", _read(qrels_path) if qrels_path is not None else ""
-        scale = LabelScale(max_label) if max_label is not None else _scale_from_qrels_text(qrels_text)
+        dists_text, qrels_text = "", _read(o.qrels) if o.qrels is not None else ""
+        scale = LabelScale(o.max_label) if o.max_label is not None else _scale_from_qrels_text(qrels_text)
     dataset = build_dataset(run_text, dists_text, qrels_text=qrels_text, scale=scale)
-    problems = validate_dataset(dataset, require_dists=dists_path is not None)
+    problems = validate_dataset(dataset, require_dists=o.dists is not None)
     if problems:
         for p in problems[:20]:
             print(f"dataset error: {p}", file=sys.stderr)
@@ -155,17 +175,12 @@ def _write_out(path: str, payload: list[dict] | dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    metric = parse_metric(_resolve(args, cfg, "metric", str, "dcg@10"))
-    run_path = _resolve(args, cfg, "run", str, None)
-    qrels_path = _resolve(args, cfg, "qrels", str, None)
-    dists_path = _resolve(args, cfg, "dists", str, None)
-    max_label = _resolve(args, cfg, "max_label", int, None)
-    out_path = _resolve(args, cfg, "out", str, None)
-    if run_path is None or dists_path is None:
+    o = _options(args, _FILES)
+    metric = parse_metric(o.metric)
+    if o.run is None or o.dists is None:
         raise SystemExit(_usage(args, "evaluate needs --run and --dists"))
 
-    dataset = _load_dataset(run_path, dists_path, qrels_path, max_label)
+    dataset = _load_dataset(o)
 
     queries = dataset.queries()
     labeled = set(dataset.labeled_queries())
@@ -185,8 +200,8 @@ def cmd_evaluate(args) -> int:
         print(f"mean true utility (labeled queries): {dataset_utility(metric, sorted(labeled), true_u):.6f}")
     print(f"mean predicted utility (all queries): {dataset_utility(metric, queries, pred_u):.6f}")
 
-    if out_path is not None:
-        _write_out(out_path, rows)
+    if o.out is not None:
+        _write_out(o.out, rows)
     return EXIT_OK
 
 
@@ -204,67 +219,61 @@ def _print_report(ci: CiReport, metric_name: str) -> None:
 
 
 def cmd_ci(args) -> int:
-    cfg = _load_config(args.config)
-    metric = parse_metric(_resolve(args, cfg, "metric", str, "dcg@10"))
-    method = _resolve(args, cfg, "method", str, "bootstrap")
-    alpha = _resolve(args, cfg, "alpha", float, 0.05)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    num_batches = _resolve(args, cfg, "batches", int, 10_000)
-    batch_size = _resolve(args, cfg, "batch_size", int, None)
-    per_query = _resolve(args, cfg, "per_query", _bool, False)
-    run_path = _resolve(args, cfg, "run", str, None)
-    qrels_path = _resolve(args, cfg, "qrels", str, None)
-    dists_path = _resolve(args, cfg, "dists", str, None)
-    max_label = _resolve(args, cfg, "max_label", int, None)
-    out_path = _resolve(args, cfg, "out", str, None)
-
-    if method not in ("bootstrap", "ppi", "crc"):
-        raise SystemExit(_usage(args, f"unknown method {method!r}"))
-    if run_path is None:
+    o = _options(args, _CI)
+    metric = parse_metric(o.metric)
+    if o.method not in ("bootstrap", "ppi", "crc"):
+        raise SystemExit(_usage(args, f"unknown method {o.method!r}"))
+    if o.method != "crc":
+        for key in ("batch_size", "per_query", "save_calibration", "load_calibration"):
+            value = getattr(o, key)
+            if value is not None and value is not False:
+                raise SystemExit(_usage(args, f"{key.replace('_', '-')} is a crc-only option, "
+                                              f"but the method is {o.method}"))
+    if o.run is None:
         raise SystemExit(_usage(args, "ci needs --run"))
-    if method in ("ppi", "crc") and dists_path is None:
-        raise SystemExit(_usage(args, f"method {method} needs --dists"))
-    if qrels_path is None and args.load_calibration is None:
+    if o.method in ("ppi", "crc") and o.dists is None:
+        raise SystemExit(_usage(args, f"method {o.method} needs --dists"))
+    if o.qrels is None and o.load_calibration is None:
         raise SystemExit(_usage(args, "ci needs --qrels (or --load-calibration for crc)"))
 
-    dataset = _load_dataset(run_path, dists_path, qrels_path, max_label)
+    dataset = _load_dataset(o)
 
     queries = dataset.queries()
     labeled = dataset.labeled_queries()
     true_u = true_utilities(metric, dataset, labeled)
 
-    if method == "bootstrap":
-        ci = bootstrap_ci([true_u[q] for q in labeled], alpha, resamples=num_batches, seed=seed)
-    elif method == "ppi":
+    if o.method == "bootstrap":
+        ci = bootstrap_ci([true_u[q] for q in labeled], o.alpha, resamples=o.batches, seed=o.seed)
+    elif o.method == "ppi":
         pred_u = predicted_utilities(metric, dataset, queries)
         est = ppi_estimate([true_u[q] for q in labeled], [pred_u[q] for q in labeled],
                            [pred_u[q] for q in queries])
-        ci = ppi_ci(est, alpha)
+        ci = ppi_ci(est, o.alpha)
     else:
         # crc: calibrate on the labeled queries (or load a saved calibration),
         # then report the interval over all queries.
-        if args.load_calibration is not None:
+        if o.load_calibration is not None:
             try:
-                cal = CrcCalibration.from_text(_read(args.load_calibration))
+                cal = CrcCalibration.from_text(_read(o.load_calibration))
             except ValueError as e:
-                raise ParseError(f"{args.load_calibration}: {e}") from None
+                raise ParseError(f"{o.load_calibration}: {e}") from None
             cal.check_applies(metric, dataset.scale)
         else:
-            if per_query:
+            if o.per_query:
                 batches = build_batches(labeled, mode="per_query")
             else:
-                batches = build_batches(labeled, mode="bootstrap", num_batches=num_batches,
-                                        batch_size=batch_size, seed=seed)
-            cal = calibrate(metric, batches, dataset, alpha)
-        if args.save_calibration is not None:
-            Path(args.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
-        if per_query:
-            return _per_query_report(metric, dataset, cal, true_u, out_path)
+                batches = build_batches(labeled, mode="bootstrap", num_batches=o.batches,
+                                        batch_size=o.batch_size, seed=o.seed)
+            cal = calibrate(metric, batches, dataset, o.alpha)
+        if o.save_calibration is not None:
+            Path(o.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
+        if o.per_query:
+            return _per_query_report(metric, dataset, cal, true_u, o.out)
         ci = crc_ci(metric, queries, dataset, cal)
 
     _print_report(ci, format_metric(metric))
-    if out_path is not None:
-        _write_out(out_path, ci.to_dict())
+    if o.out is not None:
+        _write_out(o.out, ci.to_dict())
     return EXIT_OK
 
 
@@ -291,24 +300,38 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
 # sweep
 
 
-# ``rankci sweep`` flags whose plan key has another name.  Every other sweep
-# flag is named after its plan key.
+# ``rankci sweep``'s options are ``out`` and plan keys, read by the plan's
+# parsers and renamed as in _SWEEP_KEYS.  Only ``repeats`` and ``n_labeled``
+# have defaults of their own (a quick interactive run, not the acceptance-scale
+# plan); any other option left unset keeps default_plan()'s value.
 _SWEEP_KEYS = {"n_labeled": "n_grid", "beta": "beta_grid", "tau": "tau_grid"}
+_SWEEP = {flag: (PLAN_KEYS[_SWEEP_KEYS.get(flag, flag)], {"repeats": 50, "n_labeled": (20,)}.get(flag), text)
+          for flag, text in {
+              "metric": _FILES["metric"][2],
+              "n_labeled": "labeled-budget grid, e.g. 10,20,40,80 (default 20)",
+              "beta": "annotator-bias grid, e.g. 0,0.5,1",
+              "tau": "oracle-mixing grid, e.g. 0,0.5,1",
+              "repeats": "repeats per grid point (default 50)",
+              "methods": "comma list of bootstrap,ppi,crc",
+              "alpha": "miscoverage level (default 0.05)",
+              "seed": "sweep seed (default 7)",
+              "split_seed": "validation/test halving seed (default 11)",
+              "batches": "calibration batches / resamples (default 2000)",
+              "workers": "worker threads for repeats (default 1)",
+              "queries": "synthetic query count (default 200)",
+              "docs_per_query": "documents per query (default 100)",
+              "max_label": "label scale (default 3)",
+              "truth_prior": "label prior, e.g. 0.5,0.25,0.15,0.1",
+              "sharpness": "annotator sharpness (default 7.0)",
+              "synth_seed": "dataset generation seed (default 11)",
+          }.items()}
+_SWEEP["out"] = (str, None, "write the CSV rows to this path instead of stdout")
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    # Flag > config entry > the sweep's own defaults (a quick interactive run,
-    # not the acceptance-scale plan) > default_plan().
-    values = {"repeats": 50, "n_grid": (20,)}
-    for flag in vars(args):
-        key = _SWEEP_KEYS.get(flag, flag)
-        if key in PLAN_KEYS:
-            value = _resolve(args, cfg, flag, PLAN_KEYS[key], None)
-            if value is not None:
-                values[key] = value
-    plan = build_plan(values)
-    out_path = _resolve(args, cfg, "out", str, None)
+    values = vars(_options(args, _SWEEP))
+    out_path = values.pop("out")
+    plan = build_plan({_SWEEP_KEYS.get(k, k): v for k, v in values.items() if v is not None})
 
     rows = sweep_plan(generate(plan.synth), plan)
     write_csv(out_path if out_path is not None else sys.stdout, ROW_FIELDS, rows)
@@ -339,63 +362,22 @@ def _usage(args, message: str) -> int:
     return EXIT_USAGE
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--metric", help="dcg@K or prec@K (default dcg@10)")
-    p.add_argument("--out", help="write machine-readable output to this .csv or .json path")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="rankci", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_eval = sub.add_parser("evaluate", help="per-query and dataset utilities")
-    _add_common(p_eval)
-    p_eval.add_argument("--run", help="run file (qid Q0 docid rank score tag)")
-    p_eval.add_argument("--qrels", help="judgments file (qid iter docid label)")
-    p_eval.add_argument("--dists", help="predicted label distributions (JSON lines)")
-    p_eval.add_argument("--max-label", type=int, help="label scale override (default: inferred)")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_ci = sub.add_parser("ci", help="confidence interval for the dataset utility")
-    _add_common(p_ci)
-    p_ci.add_argument("--run", help="run file")
-    p_ci.add_argument("--qrels", help="judgments file")
-    p_ci.add_argument("--dists", help="predicted label distributions")
-    p_ci.add_argument("--max-label", type=int, help="label scale override (default: inferred)")
-    p_ci.add_argument("--method", choices=["bootstrap", "ppi", "crc"], help="estimator (default bootstrap)")
-    p_ci.add_argument("--alpha", type=float, help="miscoverage level (default 0.05)")
-    p_ci.add_argument("--seed", type=int, help="random seed (default 0)")
-    p_ci.add_argument("--batches", type=int,
-                      help="calibration batches / bootstrap resamples (default 10000)")
-    p_ci.add_argument("--batch-size", type=int, help="queries per calibration batch (default: all labeled)")
-    p_ci.add_argument("--per-query", action="store_const", const=True, default=None,
-                      help="calibrate on singleton batches and report one interval per query")
-    p_ci.add_argument("--save-calibration", help="write the calibrated record to this path")
-    p_ci.add_argument("--load-calibration", help="reuse a saved calibration record instead of calibrating")
-    p_ci.set_defaults(func=cmd_ci)
-
-    p_sweep = sub.add_parser("sweep", help="synthetic coverage/width sweep (CSV rows)")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--n-labeled", type=int_list, help="labeled-budget grid, e.g. 10,20,40,80")
-    p_sweep.add_argument("--beta", type=float_list, help="annotator-bias grid, e.g. 0,0.5,1")
-    p_sweep.add_argument("--tau", type=float_list, help="oracle-mixing grid, e.g. 0,0.5,1")
-    p_sweep.add_argument("--repeats", type=int, help="repeats per grid point (default 50)")
-    p_sweep.add_argument("--methods", type=str_list, help="comma list of bootstrap,ppi,crc")
-    p_sweep.add_argument("--alpha", type=float, help="miscoverage level (default 0.05)")
-    p_sweep.add_argument("--seed", type=int, help="sweep seed (default 7)")
-    p_sweep.add_argument("--split-seed", type=int,
-                         help="validation/test halving seed (default 11)")
-    p_sweep.add_argument("--batches", type=int, help="calibration batches / resamples (default 2000)")
-    p_sweep.add_argument("--workers", type=int, help="worker threads for repeats (default 1)")
-    p_sweep.add_argument("--queries", type=int, help="synthetic query count (default 200)")
-    p_sweep.add_argument("--docs-per-query", type=int, help="documents per query (default 100)")
-    p_sweep.add_argument("--max-label", type=int, help="label scale (default 3)")
-    p_sweep.add_argument("--truth-prior", type=float_list, help="label prior, e.g. 0.5,0.25,0.15,0.1")
-    p_sweep.add_argument("--sharpness", type=float, help="annotator sharpness (default 7.0)")
-    p_sweep.add_argument("--synth-seed", type=int, help="dataset generation seed (default 11)")
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    for name, func, table, text in (
+            ("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
+            ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
+            ("sweep", cmd_sweep, _SWEEP, "synthetic coverage/width sweep (CSV rows)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for key, (parse, _, help_text) in table.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is _bool:
+                p.add_argument(flag, action="store_const", const=True, help=help_text)
+            else:
+                p.add_argument(flag, type=parse, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 

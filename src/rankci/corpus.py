@@ -33,7 +33,7 @@ from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, Ranked
 def _lines(text: str):
     """Yield (1-based line number, stripped line), skipping blanks."""
     for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if line:
             yield i, line
 

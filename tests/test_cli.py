@@ -4,6 +4,7 @@ Exit-code contract, for ``rankci`` and ``rankci-harness`` alike: 0 success,
 1 usage error, 2 I/O or format error, 3 calibration infeasible.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import rankci
-from rankci.cli import harness_main, main
+from rankci.cli import build_parser, harness_main, main
 from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
 from rankci.crc import CrcCalibration, crc_ci
 from rankci.errors import ParseError
@@ -87,6 +88,23 @@ def _run_main(argv, capsys):
     return code, out, err
 
 
+def _exit_code(argv, capsys):
+    """Like ``_run_main``, for a usage error that ``main`` raises as ``SystemExit``."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _options_of(command):
+    """The config keys of ``rankci command``'s flags: every flag but --config
+    and --help, with underscores for hyphens."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+
+
 # --- evaluate -------------------------------------------------------------------
 
 
@@ -148,11 +166,52 @@ def test_unknown_flag_is_a_usage_error():
     assert exc.value.code == 1
 
 
-def test_unknown_method_is_a_usage_error(labeled_corpus):
+def test_unknown_method_is_a_usage_error(labeled_corpus, tmp_path, capsys):
+    files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"]]
     with pytest.raises(SystemExit) as exc:
-        main(["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
-              "--method", "jackknife"])
+        main(["ci", *files, "--method", "jackknife"])
     assert exc.value.code == 1
+    assert "unknown method 'jackknife'" in capsys.readouterr().err
+    # A method from a config file is checked the same way.
+    cfg = tmp_path / "rankci.cfg"
+    cfg.write_text("method = jackknife\n", encoding="utf-8")
+    code, out, err = _exit_code(["ci", *files, "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert "unknown method 'jackknife'" in err
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "ppi"])
+@pytest.mark.parametrize("key, value", [("save-calibration", "cal.json"),
+                                        ("load-calibration", "missing.json"),
+                                        ("batch-size", "5"), ("per-query", True)])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+def test_a_crc_only_option_with_another_method_is_a_usage_error(tmp_path, capsys, method, key,
+                                                                value, in_config):
+    if key.endswith("calibration"):
+        value = str(tmp_path / value)
+    # No data file exists, so exit 1 rather than 2 shows the refusal comes first.
+    argv = ["ci", "--method", method,
+            *(f"--{name}={tmp_path / name}" for name in ("run", "qrels", "dists"))]
+    if in_config:
+        cfg = tmp_path / "rankci.cfg"
+        cfg.write_text(f"{key} = {'yes' if value is True else value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}", *([] if value is True else [value])]
+    code, out, err = _exit_code(argv, capsys)
+    assert (code, out) == (1, "")
+    assert f"{key} is a crc-only option" in err
+    assert not (tmp_path / "cal.json").exists()
+
+
+def test_a_false_per_query_is_not_a_crc_only_option(labeled_corpus, tmp_path, capsys):
+    cfg = tmp_path / "rankci.cfg"
+    cfg.write_text("per-query = no\n", encoding="utf-8")
+    code, out, _ = _run_main(["ci", "--run", labeled_corpus["run"], "--qrels",
+                              labeled_corpus["qrels"], "--batches", "200", "--config", str(cfg)],
+                             capsys)
+    assert code == 0
+    assert "method: bootstrap" in out
 
 
 def test_bad_metric_is_a_usage_error(labeled_corpus, capsys):
@@ -424,6 +483,84 @@ def test_config_file_accepts_hyphenated_keys(labeled_corpus, tmp_path, capsys):
         ["evaluate", "--config", str(cfg), "--run", labeled_corpus["run"],
          "--dists", labeled_corpus["dists"]], capsys)
     assert code == 0
+
+
+# A value for each ``rankci ci`` option but the data files, unlike its default
+# and the base values below; True is the flag without a value (``yes`` in a
+# config file).
+_CI_VALUES = {"metric": "prec@5", "out": "report.json", "max_label": "2", "method": "ppi",
+              "alpha": "0.1", "seed": "3", "batches": "150", "batch_size": "10",
+              "per_query": True, "save_calibration": "cal.json", "load_calibration": "saved.json"}
+
+
+@pytest.mark.parametrize("key", sorted(_options_of("ci")))
+def test_every_ci_option_reads_the_same_from_a_flag_and_from_config(labeled_corpus, tmp_path,
+                                                                   capsys, key):
+    files = {k: labeled_corpus[k] for k in ("run", "qrels", "dists")}
+    # A record calibrated at another alpha, so that loading it shows in the report.
+    code, _, _ = _run_main(["ci", *(f"--{k}={v}" for k, v in files.items()), "--method", "crc",
+                            "--alpha", "0.2", "--batches", "200",
+                            "--save-calibration", str(tmp_path / "saved.json")], capsys)
+    assert code == 0
+    value = {**_CI_VALUES, **files}[key]
+    if key in ("out", "save_calibration", "load_calibration"):
+        value = str(tmp_path / value)
+    options = {**files, "method": "crc", "batches": "200", "seed": "4", key: value}
+    written = [tmp_path / "report.json", tmp_path / "cal.json"]
+    results = []
+    for in_config in (False, True):
+        argv = ["ci"]
+        for k, v in options.items():
+            if not (in_config and k == key):
+                argv += [f"--{k.replace('_', '-')}", *([] if v is True else [v])]
+        if in_config:
+            cfg = tmp_path / "rankci.cfg"
+            cfg.write_text(f"{key.replace('_', '-')} = {'yes' if value is True else value}\n",
+                           encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code, out, err = _run_main(argv, capsys)
+        assert code == 0, err
+        results.append((out, {p.name: p.read_bytes() for p in written if p.exists()}))
+        for p in written:
+            p.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    if key in ("out", "save_calibration"):
+        assert results[0][1]
+
+
+def test_every_flag_of_every_command_is_a_config_key(tmp_path, monkeypatch):
+    """Each command looks up every one of its flags, but --config and --help,
+    in the config file."""
+    asked = set()
+
+    class Config(dict):
+        def __contains__(self, key):
+            asked.add(key)
+            return False
+
+        def get(self, key, default=None):
+            asked.add(key)
+            return default
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr("rankci.cli.parse_kv", lambda *args, **kwargs: Config())
+    monkeypatch.setattr("rankci.cli.generate", stop)
+    cfg = tmp_path / "rankci.cfg"
+    cfg.write_text("", encoding="utf-8")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"evaluate", "ci", "sweep"}
+    for command in sub.choices:
+        asked.clear()
+        # Every option is unset, so each command stops at a missing file or,
+        # for sweep, at the data generation.
+        with pytest.raises((SystemExit, Stop)):
+            main([command, "--config", str(cfg)])
+        assert _options_of(command) <= asked, command
 
 
 def test_malformed_config_line_is_a_usage_error(labeled_corpus, tmp_path, capsys):
