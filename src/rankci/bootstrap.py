@@ -35,7 +35,7 @@ def empirical_estimate(values: Sequence[float]) -> EmpiricalEstimate:
 
     Example: values [3, 5] give mean 4 and variance 2.
     """
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if arr.size < 2:
         raise InsufficientDataError(f"need at least 2 values, got {arr.size}")
     return EmpiricalEstimate(mean=float(arr.mean()), variance=float(arr.var(ddof=1)), n=int(arr.size))
@@ -75,13 +75,15 @@ def _percentile_ci(arr: np.ndarray, alpha: float, resamples: int,
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    lower, upper = _percentile_bounds(arr, alpha, index_blocks)
+    return CiReport(method="bootstrap", estimate=est.mean, lower=lower, upper=upper, alpha=alpha,
+                    diagnostics={"variance": est.variance, "n": float(est.n),
+                                 "resamples": float(resamples)})
+
+
+def _percentile_bounds(arr: np.ndarray, alpha: float,
+                       index_blocks: Iterable[np.ndarray]) -> tuple[float, float]:
+    """:func:`_percentile_ci`'s ``(lower, upper)``, with no input checks."""
     means = np.concatenate([arr[index].mean(axis=1) for index in index_blocks])
     lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)], method="linear")
-    return CiReport(
-        method="bootstrap",
-        estimate=est.mean,
-        lower=float(lower),
-        upper=float(upper),
-        alpha=alpha,
-        diagnostics={"variance": est.variance, "n": float(est.n), "resamples": float(resamples)},
-    )
+    return float(lower), float(upper)

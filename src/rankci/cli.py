@@ -115,7 +115,10 @@ def _options(args, table) -> argparse.Namespace:
     values = {}
     for key, (parse, default, _) in table.items():
         flag = getattr(args, key)
-        values[key] = flag if flag is not None else parse(cfg[key]) if key in cfg else default
+        try:  # only a config entry's parse can raise here
+            values[key] = flag if flag is not None else parse(cfg[key]) if key in cfg else default
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"config {args.config}: bad value for {key!r}: {e}") from None
     return argparse.Namespace(**values)
 
 
@@ -325,12 +328,14 @@ _SWEEP = {flag: (PLAN_KEYS[_SWEEP_KEYS.get(flag, flag)], {"repeats": 50, "n_labe
               "sharpness": "annotator sharpness (default 7.0)",
               "synth_seed": "dataset generation seed (default 11)",
           }.items()}
-_SWEEP["out"] = (str, None, "write the CSV rows to this path instead of stdout")
+_SWEEP["out"] = (str, None, "write the CSV rows to this .csv path instead of stdout")
 
 
 def cmd_sweep(args) -> int:
     values = vars(_options(args, _SWEEP))
     out_path = values.pop("out")
+    if out_path is not None and Path(out_path).suffix != ".csv":
+        raise ValueError(f"--out must end in .csv, got {out_path!r}")
     plan = build_plan({_SWEEP_KEYS.get(k, k): v for k, v in values.items() if v is not None})
 
     rows = sweep_plan(generate(plan.synth), plan)

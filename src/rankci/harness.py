@@ -21,10 +21,10 @@ test half's predictions only.  One draw and resample index per (n, repeat)
 serve every method and (beta, tau): common random numbers, which pair the
 rows and leave each method's guarantee as it was.  ppi computes each (beta, tau)'s
 pool mean and variance once and gathers every point's labeled predictions once per
-(n, repeat), with the bits of ``ppi_ci(ppi_estimate(...))``.  Units of work run on
-worker threads, each from its own seed-derived stream, and rows are sorted
-after, so the output is byte-identical for any worker count.  Each row is a
-read-only :class:`SweepRow` mapping.
+(n, repeat); each stack is reduced C-contiguous, all rows in one call, which keeps
+the bits of ``ppi_ci(ppi_estimate(...))``.  Units of work run on worker threads,
+each from its own seed-derived stream, and rows are sorted after, so the output is
+byte-identical for any worker count.  Each row is a read-only :class:`SweepRow` mapping.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -44,7 +44,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bootstrap import _percentile_ci, bootstrap_ci
+from .bootstrap import _percentile_bounds, bootstrap_ci
 from .corpus import build_dataset
 # The sweep works on views, resample indices and utility stacks: bootstrap_ci, calibrate,
 # crc_ci, ppi_estimate, ppi_ci, true_utilities, predicted_utilities, bias_dataset and
@@ -82,9 +82,9 @@ class SweepRow(Mapping):
 
     __slots__ = tuple(f for f in ROW_FIELDS if f != "width")
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            setattr(self, name, value)
+    def __init__(self, method, n, beta, tau, repeat, covered, low, high, truth, status):
+        self.method, self.n, self.beta, self.tau, self.repeat = method, n, beta, tau, repeat
+        self.covered, self.low, self.high, self.truth, self.status = covered, low, high, truth, status
 
     def __getitem__(self, key):
         if key == "width":
@@ -255,7 +255,7 @@ def sweep(
             batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
                                     seed=child_seed(seed, n_idx, repeat, 1))
         if "bootstrap" in methods:
-            boot = _percentile_ci(labeled_true, alpha, num_batches, [batches.index])
+            boot = _percentile_bounds(labeled_true, alpha, [batches.index])
         if "ppi" in methods:  # one gather of every (beta, tau)'s labeled errors
             lows, highs = (b.tolist() for b in _ppi_bounds(labeled_true - preds[:, pos], ppi_pool))
         rows = []
@@ -266,7 +266,7 @@ def sweep(
                     if method == "crc":
                         low, high = _crc_bounds(halves[g][1], _calibrate(batches, halves[g][0], alpha))
                     else:
-                        low, high = (lows[g], highs[g]) if method == "ppi" else (boot.lower, boot.upper)
+                        low, high = (lows[g], highs[g]) if method == "ppi" else boot
                     covered = int(low <= truth_target <= high)
                 except CalibrationInfeasibleError as e:
                     status = f"calibration-infeasible: {e}"

@@ -18,7 +18,8 @@ predictions the whole thing collapses to the classical normal interval for
 the labeled mean.
 
 A sweep computes each (beta, tau) pool's mean and variance once and gathers every
-labeled draw's errors at once; each row is reduced alone, with ``ppi_ci``'s bits.
+labeled draw's errors at once.  Each stack is reduced C-contiguous, all rows in one
+call; numpy then sums each row pairwise as it sums the row alone, with ``ppi_ci``'s bits.
 """
 
 from __future__ import annotations
@@ -107,14 +108,16 @@ def ppi_ci(est: PpiEstimate, alpha: float = 0.05) -> CiReport:
 
 def _ppi_pool(preds: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Each row's mean and ``var_pred / N`` for a ``G x N`` stack of pool predictions, and z."""
-    return (np.array([row.mean() for row in preds]),
-            np.array([row.var(ddof=1) for row in preds]) / preds.shape[1],
+    preds = np.ascontiguousarray(preds)  # see _ppi_bounds
+    return (preds.mean(axis=1), preds.var(axis=1, ddof=1) / preds.shape[1],
             NormalDist().inv_cdf(1.0 - alpha / 2.0))
 
 
 def _ppi_bounds(errors: np.ndarray, pool: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``(lower, upper)`` of :func:`ppi_ci` per row of ``G x n`` labeled errors (true - predicted)."""
     pool_mean, pool_term, z = pool
-    estimate = pool_mean + np.array([row.mean() for row in errors])
-    half = z * np.sqrt(np.array([row.var(ddof=1) for row in errors]) / errors.shape[1] + pool_term)
+    # The sweep's gather is column-major; only C-contiguous rows sum as ppi_estimate's do.
+    errors = np.ascontiguousarray(errors)
+    estimate = pool_mean + errors.mean(axis=1)
+    half = z * np.sqrt(errors.var(axis=1, ddof=1) / errors.shape[1] + pool_term)
     return estimate - half, estimate + half

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankci import bootstrap as bootstrap_module
-from rankci.bootstrap import bootstrap_ci, empirical_estimate
+from rankci.bootstrap import _percentile_bounds, bootstrap_ci, empirical_estimate
 from rankci.errors import InsufficientDataError
 from rankci.seeding import stream
 
@@ -105,6 +107,20 @@ def test_bootstrap_ci_chunked_draws_equal_one_block(n, chunk, monkeypatch):
     for resamples, seed in ((100, 0), (333, 4), (1001, 9)):
         ci = bootstrap_ci(values, 0.1, resamples=resamples, seed=seed)
         assert [ci.lower, ci.upper] == _one_block_ci(values, 0.1, resamples, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(2, 200), resamples=st.integers(100, 1500), alpha=st.floats(0.01, 0.5),
+       seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 5000))
+def test_percentile_bounds_equal_bootstrap_ci_in_hex(n, resamples, alpha, seed, chunk):
+    """The sweep's unchecked bounds, over the same draws taken in row chunks of at
+    most ``chunk`` entries, give bootstrap_ci's lower and upper bit for bit."""
+    values = stream(seed, 1).normal(stream(seed, 2).normal(), 3.0, size=n)
+    rng, rows = stream(seed), max(1, chunk // n)
+    blocks = [rng.integers(0, n, size=(min(rows, resamples - start), n))
+              for start in range(0, resamples, rows)]
+    ci = bootstrap_ci(values, alpha, resamples=resamples, seed=seed)
+    assert [x.hex() for x in _percentile_bounds(values, alpha, blocks)] == [ci.lower.hex(), ci.upper.hex()]
 
 
 def test_bootstrap_ci_memory_stays_far_below_the_dense_index_matrix():

@@ -571,6 +571,18 @@ def test_malformed_config_line_is_a_usage_error(labeled_corpus, tmp_path, capsys
     assert code == 1
 
 
+@pytest.mark.parametrize("key, value", [("alpha", "x"), ("batches", "1.5"), ("per_query", "maybe")])
+def test_a_bad_config_value_names_the_file_and_the_key(labeled_corpus, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out_path = tmp_path / "ci.json"
+    code, out, err = _run_main(["ci", "--config", str(cfg), "--run", labeled_corpus["run"],
+                                "--qrels", labeled_corpus["qrels"], "--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    assert f"config {cfg}: bad value for {key!r}: " in err
+    assert not out_path.exists()
+
+
 # --- sweep ----------------------------------------------------------------------------
 
 
@@ -602,6 +614,16 @@ def test_sweep_with_too_few_batches_is_a_usage_error(monkeypatch, capsys, batche
     assert code == 1
     assert out == ""
     assert f"num_batches={batches}" in err
+
+
+@pytest.mark.parametrize("name", ["rows.json", "rows.txt", "rows"])
+def test_sweep_out_must_end_in_csv(monkeypatch, tmp_path, capsys, name):
+    monkeypatch.setattr("rankci.cli.generate", lambda *a: pytest.fail("sweep data generated"))
+    out_path = tmp_path / name
+    code, out, err = _run_main(SWEEP_ARGS + ["--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    assert f"--out must end in .csv, got {str(out_path)!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_builds_the_same_plan_as_a_plan_file(capsys):

@@ -247,6 +247,14 @@ def test_sweep_rows_are_read_only_mappings_over_the_row_fields():
         assert type(copy) is SweepRow and copy == row
 
 
+def test_a_sweep_row_takes_exactly_its_ten_stored_fields():
+    fields = ("ppi", 10, 0.5, 0.0, 3, 1, 1.0, 1.25, 1.1, "ok")
+    assert dict(SweepRow(*fields))["width"] == 0.25
+    for wrong in (fields[:-1], fields + ("extra",)):
+        with pytest.raises(TypeError):
+            SweepRow(*wrong)
+
+
 def test_sweep_rows_write_the_csv_that_dict_rows_write():
     """The rows of a one-(beta, tau) sweep, failed ones included, write the
     bytes of plain dict rows built the long way."""

@@ -103,20 +103,33 @@ def test_estimate_is_unbiased_over_subsample_draws():
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(g=st.integers(1, 9), n=st.integers(2, 100), size=st.integers(2, 300),
+@given(g=st.integers(1, 40), n=st.integers(2, 100), size=st.integers(2, 300),
        alpha=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1),
-       constant_pool=st.booleans(), exact_labels=st.booleans())
-def test_stacked_bounds_equal_ppi_ci_in_hex(g, n, size, alpha, seed, constant_pool, exact_labels):
+       constant_pool=st.booleans(), exact_labels=st.booleans(),
+       pool_layout=st.sampled_from(["sweep", "fortran", "strided"]))
+def test_stacked_bounds_equal_ppi_ci_in_hex(g, n, size, alpha, seed, constant_pool, exact_labels,
+                                            pool_layout):
     """The sweep's stacked kernel, fed the sweep's gather of labeled errors, gives
     every row the bits of ppi_ci(ppi_estimate(...)), also where the pool's variance
-    (a constant row) or the errors' (predictions equal to the labels) is zero."""
+    (a constant row) or the errors' (predictions equal to the labels) is zero, and
+    whatever the memory layout of the pool stack."""
     rng = stream(seed)
     pred_all = rng.normal(rng.normal(size=(g, 1)), rng.gamma(2.0, size=(g, 1)), size=(g, size))
     if constant_pool:
         pred_all[0] = rng.integers(-8, 9) / 4.0
+    if pool_layout == "sweep":  # a read-only stack of rows, as the sweep holds it
+        stack = np.array(list(pred_all))
+        stack.flags.writeable = False
+    elif pool_layout == "fortran":
+        stack = np.asfortranarray(pred_all)
+    else:
+        stack = np.repeat(pred_all, 2, axis=1)[:, ::2]
+        assert not stack.flags.c_contiguous
     pos = np.sort(rng.integers(0, size, size=n))
     true = pred_all[-1, pos] if exact_labels else rng.normal(rng.normal(), rng.gamma(2.0), size=n)
-    lows, highs = _ppi_bounds(true - pred_all[:, pos], _ppi_pool(pred_all, alpha))
+    errors = true - stack[:, pos]  # the sweep's gather: column-major, not row-major, for g > 1
+    assert errors.flags.f_contiguous and (g == 1 or not errors.flags.c_contiguous)
+    lows, highs = _ppi_bounds(errors, _ppi_pool(stack, alpha))
     cis = [ppi_ci(ppi_estimate(true, pa[pos], pa), alpha) for pa in pred_all]
     assert [x.hex() for x in lows.tolist()] == [ci.lower.hex() for ci in cis]
     assert [x.hex() for x in highs.tolist()] == [ci.upper.hex() for ci in cis]
