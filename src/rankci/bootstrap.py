@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .model import CiReport
-from .seeding import stream
+from .seeding import index_blocks
 
 # Most resample indices drawn and gathered at once (8 MB of intp).
 _CHUNK_ENTRIES = 1 << 20
@@ -59,31 +59,22 @@ def bootstrap_ci(
     Preconditions: at least 2 values, at least 100 resamples, alpha in (0, 1).
     """
     arr = np.asarray(list(values), dtype=float)
-    rng = stream(seed)
-    rows = max(1, _CHUNK_ENTRIES // max(arr.size, 1))
-    chunks = (rng.integers(0, arr.size, size=(min(rows, resamples - start), arr.size))
-              for start in range(0, resamples, rows))
-    return _percentile_ci(arr, alpha, resamples, chunks)
-
-
-def _percentile_ci(arr: np.ndarray, alpha: float, resamples: int,
-                   index_blocks: Iterable[np.ndarray]) -> CiReport:
-    """The interval from the ``resamples`` rows of ``index_blocks``, positions
-    into ``arr``; the inputs are checked before the first block is taken."""
+    chunks = index_blocks(seed, arr.size, (resamples, arr.size), _CHUNK_ENTRIES)  # drawn when read
     est = empirical_estimate(arr)  # at least 2 values
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    lower, upper = _percentile_bounds(arr, alpha, index_blocks)
+    lower, upper = _percentile_bounds(arr, alpha, chunks)
     return CiReport(method="bootstrap", estimate=est.mean, lower=lower, upper=upper, alpha=alpha,
                     diagnostics={"variance": est.variance, "n": float(est.n),
                                  "resamples": float(resamples)})
 
 
 def _percentile_bounds(arr: np.ndarray, alpha: float,
-                       index_blocks: Iterable[np.ndarray]) -> tuple[float, float]:
-    """:func:`_percentile_ci`'s ``(lower, upper)``, with no input checks."""
-    means = np.concatenate([arr[index].mean(axis=1) for index in index_blocks])
+                       blocks: Iterable[np.ndarray]) -> tuple[float, float]:
+    """:func:`bootstrap_ci`'s ``(lower, upper)`` over the index rows of ``blocks``,
+    positions into ``arr``, with no input checks."""
+    means = np.concatenate([arr[index].mean(axis=1) for index in blocks])
     lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)], method="linear")
     return float(lower), float(upper)

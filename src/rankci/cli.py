@@ -160,17 +160,20 @@ def _load_dataset(o: argparse.Namespace) -> Dataset:
     return dataset
 
 
-def _write_out(path: str, payload: list[dict] | dict) -> None:
-    """Write machine-readable output: .csv for a list of rows, .json for either."""
-    p = Path(path)
-    if p.suffix == ".csv":
-        if not isinstance(payload, list):
-            raise ValueError("--out .csv needs tabular output; use .json here")
-        write_csv(p, list(payload[0]) if payload else [], payload)
-    elif p.suffix == ".json":
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    else:
+def _out_writer(path: str | None, tabular: bool):
+    """The writer of machine-readable output to ``--out`` (a no-op without it):
+    .csv for tabular output, .json for any.  Any other path is refused here,
+    before any work."""
+    if path is None:
+        return lambda payload: None
+    if Path(path).suffix not in (".csv", ".json"):
         raise ValueError(f"--out must end in .csv or .json, got {path!r}")
+    if Path(path).suffix == ".json":
+        return lambda payload: Path(path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if not tabular:
+        raise ValueError("--out .csv needs tabular output; use .json here")
+    return lambda rows: write_csv(path, list(rows[0]) if rows else [], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,7 @@ def cmd_evaluate(args) -> int:
     metric = parse_metric(o.metric)
     if o.run is None or o.dists is None:
         raise SystemExit(_usage(args, "evaluate needs --run and --dists"))
+    write_out = _out_writer(o.out, tabular=True)
 
     dataset = _load_dataset(o)
 
@@ -203,8 +207,7 @@ def cmd_evaluate(args) -> int:
         print(f"mean true utility (labeled queries): {dataset_utility(metric, sorted(labeled), true_u):.6f}")
     print(f"mean predicted utility (all queries): {dataset_utility(metric, queries, pred_u):.6f}")
 
-    if o.out is not None:
-        _write_out(o.out, rows)
+    write_out(rows)
     return EXIT_OK
 
 
@@ -238,6 +241,7 @@ def cmd_ci(args) -> int:
         raise SystemExit(_usage(args, f"method {o.method} needs --dists"))
     if o.qrels is None and o.load_calibration is None:
         raise SystemExit(_usage(args, "ci needs --qrels (or --load-calibration for crc)"))
+    write_out = _out_writer(o.out, tabular=o.per_query)
 
     dataset = _load_dataset(o)
 
@@ -271,17 +275,16 @@ def cmd_ci(args) -> int:
         if o.save_calibration is not None:
             Path(o.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
         if o.per_query:
-            return _per_query_report(metric, dataset, cal, true_u, o.out)
+            return _per_query_report(metric, dataset, cal, true_u, write_out)
         ci = crc_ci(metric, queries, dataset, cal)
 
     _print_report(ci, format_metric(metric))
-    if o.out is not None:
-        _write_out(o.out, ci.to_dict())
+    write_out(ci.to_dict())
     return EXIT_OK
 
 
 def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
-                      true_u: dict[str, float], out_path: str | None) -> int:
+                      true_u: dict[str, float], write_out) -> int:
     """One crc interval per query, all read from a single view of the dataset."""
     queries = dataset.queries()
     intervals = _per_query_intervals(_UtilityEngine(metric, dataset, queries), cal)
@@ -294,8 +297,7 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
         true_s = f"{row['true']:.6f}" if row["true"] != "" else "-"
         print(f"{row['query_id']:<24} {row['low']:>12.6f} {row['high']:>12.6f} "
               f"{row['predicted']:>12.6f} {true_s:>12}")
-    if out_path is not None:
-        _write_out(out_path, rows)
+    write_out(rows)
     return EXIT_OK
 
 

@@ -175,7 +175,7 @@ def _checked_probs(flat: list, linenos: list[int], width: int) -> np.ndarray:
     """``flat`` as a matrix of ``width`` columns, one row per line of
     ``linenos``; raises for the first line with a non-number or a bad vector."""
     values: list[float] = []
-    with contextlib.suppress(TypeError, ValueError):
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
         values.extend(map(float, flat))  # a failure keeps the entries before it
     n = len(values) // width
     probs = np.array(values[: n * width], dtype=float).reshape(n, width)

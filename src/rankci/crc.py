@@ -55,14 +55,19 @@ from .metrics import MetricSpec, UtilityView, expected_gain, format_metric
 # Unused here, but bench/tracing.py patches this name on this module.
 from .metrics import query_utility_true
 from .model import CiReport, Dataset, LabelScale, RelevanceDistribution, left_sum
-from .seeding import stream
+from .seeding import index_blocks, stream
 
 # Representable ends of the open strength interval (-1, 1).
 _LAM_EDGE = 1.0 - 1e-9
 # How far past the exact crossing a calibrated strength goes, against rounding.
 _MARGIN = 1e-10
-# Most index entries (or one batch) per bincount when filling draw counts.
+# Most index entries (or one batch) per block of CalibrationBatches.blocks, so per
+# bincount when filling draw counts.
 _COUNT_BLOCK = 1 << 13
+# Most draw counts turned to float64 at once for a product (64 rows at least).
+_PRODUCT_ENTRIES = 1 << 16
+# Most draw counts held as one float64 matrix (2 MB); more are held compactly.
+_DENSE_COUNTS = 1 << 18
 
 
 def _check_lambda(lam: float) -> float:
@@ -173,12 +178,32 @@ def utility_crc(spec: MetricSpec, queries: Iterable[str], dataset: Dataset, lam:
 class CalibrationBatches:
     """Calibration batches of equal length, stored as a sorted query pool and
     a read-only M x b index matrix: row i holds the pool positions of batch
-    i's ids in draw order.  Iterates as query-id tuples."""
+    i's ids in draw order.  Iterates as query-id tuples.  Without an explicit
+    index, it is the rows of ``stream(seed).integers(0, len(pool), size=shape)``."""
 
-    def __init__(self, pool: Sequence[str], index: np.ndarray):
-        self.pool = tuple(pool)
-        self.index = np.asarray(index, dtype=np.intp).view()  # the caller's array stays writeable
-        self.index.setflags(write=False)
+    def __init__(self, pool: Sequence[str], index: np.ndarray | None = None, *,
+                 seed: int = 0, shape: tuple[int, int] = (0, 0)):
+        self.pool, self.seed, self.shape, self._index = tuple(pool), seed, shape, None
+        if index is not None:
+            self._index = np.asarray(index, dtype=np.intp).view()  # the caller's array stays writeable
+            self._index.setflags(write=False)
+            self.shape = self._index.shape
+
+    @property
+    def index(self) -> np.ndarray:
+        """The read-only M x b index, drawn whole on first read and then held."""
+        if self._index is None:
+            self._index = stream(self.seed).integers(0, len(self.pool), size=self.shape)
+            self._index.setflags(write=False)
+        return self._index
+
+    def blocks(self):
+        """The index rows in blocks of at most :data:`_COUNT_BLOCK` entries (one
+        row at least): slices of ``index`` once it is held, else drawn."""
+        if self._index is None:
+            return index_blocks(self.seed, len(self.pool), self.shape, _COUNT_BLOCK)
+        rows = max(1, _COUNT_BLOCK // max(self.shape[1], 1))
+        return (self._index[start:start + rows] for start in range(0, len(self), rows))
 
     @classmethod
     def of(cls, batches: Iterable[Iterable[str]]) -> "CalibrationBatches":
@@ -195,10 +220,12 @@ class CalibrationBatches:
         return cls(pool, index.reshape(len(rows), len(rows[0]) if rows else 0))
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self.shape[0]
 
     def __iter__(self):
-        return map(tuple, np.array(self.pool, dtype=object)[self.index].tolist())
+        pool = np.array(self.pool, dtype=object)
+        for block in self.blocks():
+            yield from map(tuple, pool[block].tolist())
 
 
 def build_batches(
@@ -229,8 +256,7 @@ def build_batches(
         batch_size = len(pool)
     if batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-    rng = stream(seed)
-    return CalibrationBatches(pool, rng.integers(0, len(pool), size=(num_batches, batch_size)))
+    return CalibrationBatches(pool, seed=seed, shape=(num_batches, batch_size))
 
 
 def calibration_threshold(alpha: float, num_batches: int) -> float:
@@ -351,23 +377,30 @@ def _smallest_strength(gap, knots: np.ndarray, allowed: int, bound: str) -> tupl
     return b, int(np.count_nonzero(g_hi < 0))
 
 
-def _batch_means(index: np.ndarray, n_queries: int):
-    """The map from the values of ``n_queries`` queries, in position order, to
-    the mean of each batch, for batches given as rows of query positions.
-
-    When the batches are at least as long as the query list, an M x n_q
-    matrix of draw counts (one ``bincount`` per block of rows) makes each
-    call one product.  Shorter batches, such as singletons, are summed column
-    by column instead, so memory stays O(M * min(batch size, n_q)).
-    """
-    m, b = index.shape
+def _batch_means(batches: CalibrationBatches):
+    """The map from the values of the batches' pool, in pool order, to the
+    mean of each batch.  Batches at least as long as the pool make each call
+    one product with an M x n_q matrix of draw counts (one ``bincount`` per
+    block of rows); above :data:`_DENSE_COUNTS` entries the counts take the
+    smallest type that holds b and are turned to float64 in blocks of a
+    multiple of 64 rows, which BLAS sums as one product does (a one-row tail,
+    which numpy sums otherwise, joins the block before).  Shorter batches,
+    such as singletons, are summed column by column, in O(M * b) memory."""
+    (m, b), n_queries = batches.shape, len(batches.pool)
     if n_queries <= b:
-        counts, rows = np.empty((m, n_queries)), max(1, _COUNT_BLOCK // b)
-        for start in range(0, m, rows):
-            k = min(rows, m - start)
-            cells = index[start:start + k] + np.arange(0, k * n_queries, n_queries)[:, None]
+        compact, start = m * n_queries > _DENSE_COUNTS, 0
+        counts = np.empty((m, n_queries), np.min_scalar_type(b) if compact else float)
+        for block in batches.blocks():
+            k = len(block)
+            cells = block + np.arange(0, k * n_queries, n_queries)[:, None]
             counts[start:start + k] = np.bincount(cells.ravel(), minlength=k * n_queries).reshape(k, -1)
-        return lambda values: counts @ values / b
+            start += k
+        if not compact:
+            return lambda values: counts @ values / b
+        rows = 64 * max(1, _PRODUCT_ENTRIES // (64 * n_queries))
+        blocks = np.split(counts, range(rows, m - 1, rows))  # no one-row tail
+        return lambda values: np.concatenate([block.astype(float) @ values for block in blocks]) / b
+    index = batches.index
 
     def means(values: np.ndarray) -> np.ndarray:
         total = values[index[:, 0]]
@@ -388,7 +421,7 @@ def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[Ca
     num_batches = len(batches)
     if num_batches == 0:
         raise InsufficientDataError("no calibration batches given")
-    if batches.index.shape[1] == 0:
+    if batches.shape[1] == 0:
         raise ValueError("calibration batches must be non-empty")
     needed = required_batches(alpha)
     if num_batches < needed:
@@ -444,7 +477,7 @@ def _calibrate(
     every query of the batches' pool, stamped with the view's metric and
     label scale; it searches the view's knots and shares the view's memo."""
     batches, allowed = _checked_batches(batches, alpha)
-    batch_mean = _batch_means(batches.index, len(batches.pool))
+    batch_mean = _batch_means(batches)
     where = {q: i for i, q in enumerate(view.query_ids)}
     pos = np.fromiter(map(where.__getitem__, batches.pool), np.intp, len(batches.pool))
     batch_true = batch_mean(view.true_utilities()[pos])

@@ -176,16 +176,6 @@ def default_plan(**overrides) -> ExperimentPlan:
     return ExperimentPlan(**fields)
 
 
-def load_dataset_for_plan(plan: ExperimentPlan) -> Dataset:
-    if plan.synth is not None:
-        return generate(plan.synth)
-    return build_dataset(
-        run_text=Path(plan.run_path).read_text(encoding="utf-8"),
-        dists_text=Path(plan.dists_path).read_text(encoding="utf-8"),
-        qrels_text=Path(plan.qrels_path).read_text(encoding="utf-8"),
-    )
-
-
 def halve_pool(pool: list[str], seed: int) -> tuple[list[str], list[str]]:
     """Split the labeled pool into validation and test halves, randomly but
     reproducibly.  Returns (validation, test), both sorted."""
@@ -347,7 +337,11 @@ def per_query_rows(
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan and write rows, aggregates, per-query intervals and a
     summary into its output directory.  Returns that directory."""
-    dataset = load_dataset_for_plan(plan)
+    if plan.synth is not None:
+        dataset = generate(plan.synth)
+    else:
+        dataset = build_dataset(*(Path(p).read_text(encoding="utf-8")
+                                  for p in (plan.run_path, plan.dists_path, plan.qrels_path)))
     # Singleton-batch calibration is the step most likely to be infeasible;
     # run it first so that failure leaves no partial output directory.
     pq = per_query_rows(dataset, plan.metric, tau_grid=plan.tau_grid, alpha=plan.alpha,

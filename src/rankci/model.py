@@ -78,9 +78,6 @@ class RelevanceDistribution:
             out.append(f"probs sum {total!r} != 1")
         return out
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
 
 def left_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis term by term from the left, as Python's ``sum``

@@ -251,6 +251,42 @@ def test_ci_out_csv_without_rows_is_a_usage_error(labeled_corpus, tmp_path, caps
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, name, message", [
+    (["evaluate"], "rows.txt", "--out must end in .csv or .json, got "),
+    (["evaluate"], "rows", "--out must end in .csv or .json, got "),
+    (["ci", "--method", "crc"], "ci.tsv", "--out must end in .csv or .json, got "),
+    (["ci", "--method", "crc"], "ci.csv", "--out .csv needs tabular output; use .json here"),
+])
+def test_a_bad_out_is_refused_before_any_work(labeled_corpus, tmp_path, monkeypatch, capsys,
+                                              command, name, message):
+    monkeypatch.setattr("rankci.cli._load_dataset", lambda o: pytest.fail("data read"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+             "--dists", labeled_corpus["dists"]]
+    if command[0] == "ci":
+        files += ["--batches", "200", "--save-calibration", str(out_dir / "cal.json")]
+    code, out, err = _run_main([*command, *files, "--out", str(out_dir / name)], capsys)
+    assert code == 1 and out == ""
+    assert message in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["ci", "--method", "crc", "--batches", "200"]])
+def test_an_integer_too_large_for_a_float_is_a_format_error(labeled_corpus, tmp_path, capsys,
+                                                           command):
+    lines = Path(labeled_corpus["dists"]).read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    obj["probs"][0] = 10**400
+    lines[1] = json.dumps(obj)
+    dists = tmp_path / "huge.jsonl"
+    dists.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = _run_main([*command, "--run", labeled_corpus["run"], "--qrels",
+                                labeled_corpus["qrels"], "--dists", str(dists)], capsys)
+    assert code == 2 and out == ""
+    assert "format error" in err and "line 2: probs entries must be numbers" in err
+
+
 def test_ci_ppi_requires_dists(labeled_corpus):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],

@@ -252,6 +252,9 @@ PARSE_ERRORS = {
     "list prob": (_dist_line("d1", "[[0.5], 0.5]") + "\n", "line 1: probs entries must be numbers"),
     "non-numeric string prob": (_dist_line("d1", '["x", 0.5]') + "\n",
                                 "line 1: probs entries must be numbers"),
+    "integer too large for a float": (
+        _dist_line("d1", "[0.5, 0.5]") + "\n" + _dist_line("d2", "[1" + "0" * 400 + ", 0]") + "\n",
+        "line 2: probs entries must be numbers"),
     "NaN": (_dist_line("d1", "[NaN, 1.0]") + "\n", "line 1: prob of label 0 is nan, outside [0, 1]"),
     "Infinity": (_dist_line("d1", "[Infinity, 0.0]") + "\n",
                  "line 1: prob of label 0 is inf, outside [0, 1]"),
@@ -409,7 +412,7 @@ def test_the_array_checks_add_up_a_vector_as_violations_does():
     row = [0.22485650018626702, 0.0022991245125756443, 0.24763995021296792,
            0.08887968933239912, 0.1523122970439375, 0.02240655151718793,
            0.14450716005421316, 0.02870012687902621, 0.08839760026142551]
-    assert RelevanceDistribution(tuple(row)).is_valid()
+    assert RelevanceDistribution(tuple(row)).violations() == []
     scale = LabelScale(8)
     table = parse_dists(json.dumps({"qid": "q", "docid": "d", "probs": row}) + "\n", scale)
     assert table[("q", "d")].probs == tuple(row)

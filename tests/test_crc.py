@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rankci import crc
 from rankci.crc import (
     CalibrationBatches,
     CrcCalibration,
@@ -353,6 +354,40 @@ def test_per_query_calibration_memory_stays_far_below_a_dense_matrix():
         tracemalloc.stop()
     assert cal.num_batches == n
     assert peak < 8 * n * n / 10
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("read_index_first", [False, True])
+def test_drawn_batches_equal_one_block_draw(read_index_first, compact, monkeypatch):
+    """Batches drawn in row blocks on demand read, iterate and calibrate as
+    the index drawn in one block, whether ``index`` is read first or not."""
+    if compact:
+        monkeypatch.setattr(crc, "_DENSE_COUNTS", 0)
+    ds = _synth(queries=40, docs=5, seed=7)
+    pool = ds.queries()
+    one_block = stream(6).integers(0, len(pool), size=(1500, 60))  # drawn in 12 blocks
+    batches = build_batches(pool, num_batches=1500, batch_size=60, seed=6)
+    if read_index_first:
+        assert np.array_equal(batches.index, one_block)
+    explicit = CalibrationBatches(pool, one_block)
+    assert list(batches) == list(explicit)
+    assert calibrate(DCG, batches, ds, 0.1) == calibrate(DCG, explicit, ds, 0.1)
+    assert np.array_equal(batches.index, one_block) and not batches.index.flags.writeable
+
+
+def test_calibration_memory_holds_neither_the_index_nor_float64_counts():
+    # 2,000 batches of 1,000 labeled queries: the intp index and a float64
+    # count matrix would take 16 MB each.
+    ds = generate(SynthConfig(num_queries=1000, docs_per_query=5, scale=LabelScale(2),
+                              truth_prior=(0.5, 0.3, 0.2), annotator_sharpness=3.0, seed=4))
+    tracemalloc.start()
+    try:
+        cal = calibrate(DCG, build_batches(ds.queries(), num_batches=2000, seed=3), ds, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cal.num_batches == 2000
+    assert peak < 8 * 2**20
 
 
 def test_crc_ci_report_contents():

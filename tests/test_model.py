@@ -44,11 +44,11 @@ def test_distribution_needs_two_labels():
 
 def test_distribution_violations():
     assert RelevanceDistribution((0.5, 0.5)).violations() == []
-    assert RelevanceDistribution((0.5, 0.5)).is_valid()
+    assert RelevanceDistribution((0.5, 0.5)).violations() == []
 
     bad_sum = RelevanceDistribution((0.5, 0.4))
     assert any("sum" in v for v in bad_sum.violations())
-    assert not bad_sum.is_valid()
+    assert bad_sum.violations() != []
 
     negative = RelevanceDistribution((-0.2, 1.2))
     msgs = negative.violations()
@@ -178,8 +178,8 @@ def test_validate_dataset_requires_distributions_only_when_asked():
 
 
 def test_distribution_sums_within_1e_6_of_one_are_valid():
-    assert RelevanceDistribution((0.5, 0.5 + 5e-7)).is_valid()
-    assert not RelevanceDistribution((0.5, 0.5 + 5e-6)).is_valid()
+    assert RelevanceDistribution((0.5, 0.5 + 5e-7)).violations() == []
+    assert RelevanceDistribution((0.5, 0.5 + 5e-6)).violations() != []
 
 
 def test_empty_dataset_is_valid():
