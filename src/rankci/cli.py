@@ -6,15 +6,18 @@
   predicted everywhere) from run/qrels/dists files.
 * ``ci`` — a confidence interval for the dataset utility by bootstrap,
   prediction-powered, or risk-controlled perturbation calibration.
-* ``sweep`` — synthetic coverage/width sweeps over labeled-budget, bias and
-  oracle grids, emitting one CSV row per method/grid point/repeat.
+* ``sweep`` — coverage/width sweeps of an experiment plan over labeled-budget,
+  bias and oracle grids, on synthetic data or on run/qrels/dists files: one
+  CSV row per method/grid point/repeat, or, with ``--output-dir``, the four
+  artifacts of :func:`rankci.harness.run_plan`.
 
-``rankci-harness PLAN`` runs a ``key = value`` plan file through the
-experiment harness and writes its four artifacts.
+``rankci-harness PLAN [flag ...]`` is ``rankci sweep --config PLAN [flag ...]``
+with the harness's defaults (``_SWEEP_DEFAULTS``): a plan file is a config file.
 
 Every command is deterministic for a given ``--seed``.  Flags beat config
 file entries (``--config`` names a ``key = value`` file whose keys are the
-long flag names with underscores), which beat built-in defaults.
+long flag names with underscores), which beat built-in defaults.  A config
+key that no command knows is a usage error.
 
 Exit codes, the same for both entry points: 0 success, 1 usage error (bad
 flags, config or plan), 2 I/O or format error, 3 calibration infeasible.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bootstrap import bootstrap_ci
@@ -35,17 +37,7 @@ from .crc import (CrcCalibration, _per_query_intervals, _UtilityEngine, build_ba
                   crc_ci)
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
 # sweep is not called here (sweep_plan calls it); bench/tracing.py patches it.
-from .harness import (
-    PLAN_KEYS,
-    ROW_FIELDS,
-    build_plan,
-    load_plan,
-    parse_kv,
-    run_plan,
-    sweep,
-    sweep_plan,
-    write_csv,
-)
+from .harness import ROW_FIELDS, ExperimentPlan, build_plan, run_plan, sweep, sweep_plan, write_csv
 from .metrics import (
     MetricSpec,
     dataset_utility,
@@ -81,9 +73,18 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-# Each command's options, key -> (parser, default, help).  A key is both the
-# long flag (with hyphens) and the --config key; build_parser adds one flag per
-# key, with no value for a _bool, and _options resolves every key the same way.
+def _list(item):
+    """The parser of a comma list of ``item``s."""
+    def parse(s: str) -> tuple:
+        return tuple(item(x.strip()) for x in s.split(",") if x.strip())
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+# Each command's options, key -> (parser, default, help, *other names).  A key and
+# each other name are both a long flag (with hyphens) and a --config key;
+# build_parser adds one flag per key, with no value for a _bool, and _options
+# resolves every key the same way.
 _FILES = {
     "metric": (str, "dcg@10", "dcg@K or prec@K (default dcg@10)"),
     "out": (str, None, "write machine-readable output to this .csv or .json path"),
@@ -107,19 +108,41 @@ _CI = {
 }
 
 
-def _options(args, table) -> argparse.Namespace:
+def _options(args, table, defaults=None) -> argparse.Namespace:
     """Every option of ``table``: its flag if given, else its ``--config``
-    entry read by the same parser, else its default."""
-    # Any config key is accepted: one config file may serve every command.
-    cfg = parse_kv(_read(args.config), what="config") if args.config is not None else {}
+    entry under any of its names, read by the same parser, else its default
+    (from ``defaults`` when it has the key)."""
+    cfg = parse_kv(_read(args.config), what=f"config {args.config}") if args.config is not None else {}
     values = {}
-    for key, (parse, default, _) in table.items():
+    for key, (parse, default, _, *aliases) in table.items():
         flag = getattr(args, key)
+        name = next((n for n in (key, *aliases) if n in cfg), None)
         try:  # only a config entry's parse can raise here
-            values[key] = flag if flag is not None else parse(cfg[key]) if key in cfg else default
+            values[key] = (flag if flag is not None else parse(cfg[name]) if name is not None
+                           else (defaults or {}).get(key, default))
         except (ValueError, TypeError) as e:
-            raise ValueError(f"config {args.config}: bad value for {key!r}: {e}") from None
+            raise ValueError(f"config {args.config}: bad value for {name!r}: {e}") from None
     return argparse.Namespace(**values)
+
+
+def parse_kv(text: str, *, what: str) -> dict[str, str]:
+    """Read ``key = value`` lines into a dict, skipping blank lines and ``#``
+    comments; ``-`` in a key reads as ``_``.  A key that no ``rankci`` command
+    knows is an error, so one file may serve every command.  Errors are
+    ``ValueError``s naming ``what``, the 1-based line and the key."""
+    out: dict[str, str] = {}
+    for i, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {i}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{what} line {i}: unknown key {key!r}")
+        out[key] = value.strip()
+    return out
 
 
 def _read(path: str) -> str:
@@ -305,58 +328,73 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
 # sweep
 
 
-# ``rankci sweep``'s options are ``out`` and plan keys, read by the plan's
-# parsers and renamed as in _SWEEP_KEYS.  Only ``repeats`` and ``n_labeled``
-# have defaults of their own (a quick interactive run, not the acceptance-scale
-# plan); any other option left unset keeps default_plan()'s value.
-_SWEEP_KEYS = {"n_labeled": "n_grid", "beta": "beta_grid", "tau": "tau_grid"}
-_SWEEP = {flag: (PLAN_KEYS[_SWEEP_KEYS.get(flag, flag)], {"repeats": 50, "n_labeled": (20,)}.get(flag), text)
-          for flag, text in {
-              "metric": _FILES["metric"][2],
-              "n_labeled": "labeled-budget grid, e.g. 10,20,40,80 (default 20)",
-              "beta": "annotator-bias grid, e.g. 0,0.5,1",
-              "tau": "oracle-mixing grid, e.g. 0,0.5,1",
-              "repeats": "repeats per grid point (default 50)",
-              "methods": "comma list of bootstrap,ppi,crc",
-              "alpha": "miscoverage level (default 0.05)",
-              "seed": "sweep seed (default 7)",
-              "split_seed": "validation/test halving seed (default 11)",
-              "batches": "calibration batches / resamples (default 2000)",
-              "workers": "worker threads for repeats (default 1)",
-              "queries": "synthetic query count (default 200)",
-              "docs_per_query": "documents per query (default 100)",
-              "max_label": "label scale (default 3)",
-              "truth_prior": "label prior, e.g. 0.5,0.25,0.15,0.1",
-              "sharpness": "annotator sharpness (default 7.0)",
-              "synth_seed": "dataset generation seed (default 11)",
-          }.items()}
-_SWEEP["out"] = (str, None, "write the CSV rows to this .csv path instead of stdout")
+# ``rankci sweep``'s options: ``out`` and every plan key, which build_plan reads;
+# three grids have a second name.  A key left unset keeps default_plan()'s value,
+# except where the entry point's _SWEEP_DEFAULTS set it.
+_SWEEP = {
+    "name": (str, "experiment", "label recorded in summary.json (default experiment)"),
+    "metric": _FILES["metric"],
+    "alpha": (float, None, "miscoverage level (default 0.05)"),
+    "repeats": (int, None, "repeats per grid point (default 50; 500 under rankci-harness)"),
+    "batches": (int, None, "calibration batches / bootstrap resamples (default 2000)"),
+    "n_grid": (_list(int), None, "labeled-budget grid, e.g. 10,20,40,80 "
+                                 "(default 20; 10,20,40,80 under rankci-harness)", "n_labeled"),
+    "beta_grid": (_list(float), None, "annotator-bias grid, e.g. 0,0.5,1 (default 0)", "beta"),
+    "tau_grid": (_list(float), None, "oracle-mixing grid, e.g. 0,0.5,1 (default 0)", "tau"),
+    "methods": (_list(str), None, "comma list of bootstrap,ppi,crc (default all three)"),
+    "seed": (int, None, "sweep seed (default 7)"),
+    "split_seed": (int, None, "validation/test halving seed (default 11)"),
+    "workers": (int, None, "worker threads for repeats (default 1)"),
+    "output_dir": (str, None, "write the four artifacts here (default: none; harness-out "
+                              "under rankci-harness)"),
+    "out": (str, None, "write the CSV rows to this .csv path instead of stdout"),
+    "queries": (int, None, "synthetic query count (default 200)"),
+    "docs_per_query": (int, None, "synthetic documents per query (default 100)"),
+    "max_label": (int, None, "synthetic label scale (default 3); with files, an override"),
+    "truth_prior": (_list(float), None, "synthetic label prior (default 0.85,0.08,0.04,0.03)"),
+    "sharpness": (float, None, "synthetic annotator sharpness (default 7.0)"),
+    "synth_seed": (int, None, "synthetic dataset seed (default 11)"),
+    "run": _FILES["run"],
+    "qrels": _FILES["qrels"],
+    "dists": _FILES["dists"],
+}
+# The only defaults in which the two entry points differ: a bare ``rankci sweep``
+# is a quick interactive run, a plan run by ``rankci-harness`` the
+# acceptance-scale plan, written to a directory.
+_SWEEP_DEFAULTS = {
+    "rankci": {"repeats": 50, "n_grid": (20,), "output_dir": None},
+    "rankci-harness": {"repeats": 500, "n_grid": (10, 20, 40, 80), "output_dir": "harness-out"},
+}
+# Every key that some command reads from --config.
+_CONFIG_KEYS = {name for table in (_CI, _SWEEP)
+                for key, (_, _, _, *aliases) in table.items() for name in (key, *aliases)}
+
+
+def _sweep_plan(args) -> tuple[argparse.Namespace, ExperimentPlan]:
+    """The options and the plan of a ``sweep`` command line; options no
+    sweep can run with raise ``ValueError`` here, before any work."""
+    o = _options(args, _SWEEP, _SWEEP_DEFAULTS[args.entry])
+    if o.out is not None and o.output_dir is not None:
+        raise ValueError(f"--out {o.out!r} and an output directory {o.output_dir!r} "
+                         "cannot both be set")
+    if o.out is not None and Path(o.out).suffix != ".csv":
+        raise ValueError(f"--out must end in .csv, got {o.out!r}")
+    plan = build_plan({k: v for k, v in vars(o).items() if v is not None and k != "out"})
+    return o, plan
 
 
 def cmd_sweep(args) -> int:
-    values = vars(_options(args, _SWEEP))
-    out_path = values.pop("out")
-    if out_path is not None and Path(out_path).suffix != ".csv":
-        raise ValueError(f"--out must end in .csv, got {out_path!r}")
-    plan = build_plan({_SWEEP_KEYS.get(k, k): v for k, v in values.items() if v is not None})
-
-    rows = sweep_plan(generate(plan.synth), plan)
-    write_csv(out_path if out_path is not None else sys.stdout, ROW_FIELDS, rows)
-    if out_path is not None:
-        print(f"wrote {len(rows)} rows to {out_path}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# rankci-harness
-
-
-def cmd_plan(args) -> int:
-    plan = load_plan(_read(args.plan))
-    overrides = {"output_dir": args.output_dir, "workers": args.workers}
-    out_dir = run_plan(replace(plan, **{k: v for k, v in overrides.items() if v is not None}))
-    for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"):
-        print(f"wrote {out_dir / name}")
+    o, plan = _sweep_plan(args)
+    dataset = generate(plan.synth) if plan.synth is not None else _load_dataset(o)
+    if o.output_dir is not None:
+        out_dir = run_plan(plan, dataset)
+        for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"):
+            print(f"wrote {out_dir / name}")
+        return EXIT_OK
+    rows = sweep_plan(dataset, plan)
+    write_csv(o.out if o.out is not None else sys.stdout, ROW_FIELDS, rows)
+    if o.out is not None:
+        print(f"wrote {len(rows)} rows to {o.out}")
     return EXIT_OK
 
 
@@ -369,22 +407,23 @@ def _usage(args, message: str) -> int:
     return EXIT_USAGE
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rankci", description=__doc__.split("\n\n")[0])
+def build_parser(prog: str = "rankci") -> _Parser:
+    """The parser of ``prog``: ``rankci``, or ``rankci-harness`` for its defaults."""
+    parser = _Parser(prog=prog, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, func, table, text in (
             ("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
             ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
-            ("sweep", cmd_sweep, _SWEEP, "synthetic coverage/width sweep (CSV rows)")):
+            ("sweep", cmd_sweep, _SWEEP, "coverage/width sweep of a plan")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="key = value config file; flags override it")
-        for key, (parse, _, help_text) in table.items():
-            flag = "--" + key.replace("_", "-")
+        for key, (parse, _, help_text, *aliases) in table.items():
+            flags = ["--" + name.replace("_", "-") for name in (key, *aliases)]
             if parse is _bool:
-                p.add_argument(flag, action="store_const", const=True, help=help_text)
+                p.add_argument(*flags, dest=key, action="store_const", const=True, help=help_text)
             else:
-                p.add_argument(flag, type=parse, help=help_text)
-        p.set_defaults(func=func)
+                p.add_argument(*flags, dest=key, type=parse, help=help_text)
+        p.set_defaults(func=func, entry=prog)
     return parser
 
 
@@ -415,12 +454,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def harness_main(argv: list[str] | None = None) -> int:
-    parser = _Parser(prog="rankci-harness", description="Run a coverage/width experiment plan.")
-    parser.add_argument("plan", help="path to a key = value plan file")
-    parser.add_argument("--output-dir", help="override the plan's output directory")
-    parser.add_argument("--workers", type=int, help="override the plan's worker count")
-    parser.set_defaults(func=cmd_plan)
-    return _dispatch(parser, argv)
+    """``rankci-harness PLAN [flag ...]``: ``rankci sweep --config PLAN [flag ...]``
+    with the harness's defaults."""
+    argv = sys.argv[1:] if argv is None else argv
+    return _dispatch(build_parser("rankci-harness"), ["sweep", "--config", *argv])
 
 
 if __name__ == "__main__":

@@ -30,13 +30,18 @@ Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
 ``per_query.csv`` (one interval per query from singleton-batch calibration,
 sorted by true utility descending), and ``summary.json``.
+
+The plan keys, their parsers and the one loader of a plan's dataset live in
+:mod:`rankci.cli`, whose ``rankci sweep`` runs every plan; :func:`build_plan`
+turns parsed plan keys into an :class:`ExperimentPlan`, and :func:`run_plan`
+runs one over a loaded dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,10 +50,11 @@ from typing import TextIO
 import numpy as np
 
 from .bootstrap import _percentile_bounds, bootstrap_ci
+# The sweep works on views, resample indices and utility stacks, and run_plan takes a loaded
+# dataset: build_dataset, bootstrap_ci, calibrate, crc_ci, ppi_estimate, ppi_ci,
+# true_utilities, predicted_utilities, bias_dataset, oracle_dataset and generate are not
+# called here; they stay bound because bench/tracing.py patches them.
 from .corpus import build_dataset
-# The sweep works on views, resample indices and utility stacks: bootstrap_ci, calibrate,
-# crc_ci, ppi_estimate, ppi_ci, true_utilities, predicted_utilities, bias_dataset and
-# oracle_dataset are not called here; they stay bound because bench/tracing.py patches them.
 from .crc import (_calibrate, _crc_bounds, _per_query_intervals, _UtilityEngine, build_batches,
                   calibrate, crc_ci, required_batches)
 from .errors import CalibrationInfeasibleError
@@ -334,14 +340,10 @@ def per_query_rows(
     return out
 
 
-def run_plan(plan: ExperimentPlan) -> Path:
-    """Execute a plan and write rows, aggregates, per-query intervals and a
-    summary into its output directory.  Returns that directory."""
-    if plan.synth is not None:
-        dataset = generate(plan.synth)
-    else:
-        dataset = build_dataset(*(Path(p).read_text(encoding="utf-8")
-                                  for p in (plan.run_path, plan.dists_path, plan.qrels_path)))
+def run_plan(plan: ExperimentPlan, dataset: Dataset) -> Path:
+    """Run ``plan`` over ``dataset``, the data it names, and write rows,
+    aggregates, per-query intervals and a summary into its output directory.
+    Returns that directory."""
     # Singleton-batch calibration is the step most likely to be infeasible;
     # run it first so that failure leaves no partial output directory.
     pq = per_query_rows(dataset, plan.metric, tau_grid=plan.tau_grid, alpha=plan.alpha,
@@ -379,8 +381,7 @@ def run_plan(plan: ExperimentPlan) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# CSV output, and ``key = value`` files: plans here, ``rankci --config`` files
-# in the CLI
+# CSV output and plans
 
 
 def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) -> None:
@@ -395,46 +396,6 @@ def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) ->
     writer.writerows(rows)
 
 
-def parse_kv(text: str, keys: Collection[str] | None = None, *, what: str = "plan") -> dict[str, str]:
-    """Read ``key = value`` lines into a dict, skipping blank lines and ``#``
-    comments; ``-`` in a key reads as ``_``.  With ``keys`` given, any other
-    key is an error.  Errors are ``ValueError``s naming the 1-based line."""
-    out: dict[str, str] = {}
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{what} line {i}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if keys is not None and key not in keys:
-            raise ValueError(f"{what} line {i}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def int_list(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-def float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip())
-
-
-def str_list(s: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in s.split(",") if x.strip())
-
-
-# Every plan key with the parser of its value (see README for the list).
-PLAN_KEYS = {
-    "name": str, "metric": str, "alpha": float, "repeats": int, "batches": int,
-    "n_grid": int_list, "beta_grid": float_list, "tau_grid": float_list, "methods": str_list,
-    "seed": int, "split_seed": int, "workers": int, "output_dir": str,
-    "queries": int, "docs_per_query": int, "max_label": int, "truth_prior": float_list,
-    "sharpness": float, "synth_seed": int,
-    "run": str, "qrels": str, "dists": str,
-}
 # Plan keys whose ExperimentPlan field has another name.
 _PLAN_FIELDS = {"batches": "num_batches", "run": "run_path", "qrels": "qrels_path",
                 "dists": "dists_path"}
@@ -447,7 +408,7 @@ _SYNTH_FIELDS = {"queries": "num_queries", "docs_per_query": "docs_per_query",
 def build_plan(values: Mapping[str, object]) -> ExperimentPlan:
     """The plan for parsed plan-key ``values``; every key left out keeps
     :func:`default_plan`'s value.  Any of ``run``/``qrels``/``dists`` makes
-    the plan file-sourced, and the synthetic-dataset keys are then ignored."""
+    the plan file-sourced, and the plan then ignores the synthetic-dataset keys."""
     base = default_plan()
     fields = {_PLAN_FIELDS.get(k, k): v for k, v in values.items() if k not in _SYNTH_FIELDS}
     if "metric" in fields:
@@ -460,9 +421,3 @@ def build_plan(values: Mapping[str, object]) -> ExperimentPlan:
             synth["scale"] = LabelScale(synth["scale"])
         fields["synth"] = replace(base.synth, **synth)
     return replace(base, **fields)
-
-
-def load_plan(text: str) -> ExperimentPlan:
-    """Parse a ``key = value`` plan file (see README for the key list)."""
-    kv = parse_kv(text, PLAN_KEYS)
-    return build_plan({"name": "experiment", **{k: PLAN_KEYS[k](v) for k, v in kv.items()}})

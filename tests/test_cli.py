@@ -6,22 +6,27 @@ Exit-code contract, for ``rankci`` and ``rankci-harness`` alike: 0 success,
 
 import argparse
 import csv
+import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankci
+from rankci import cli
 from rankci.cli import build_parser, harness_main, main
 from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
 from rankci.crc import CrcCalibration, crc_ci
 from rankci.errors import ParseError
-from rankci.harness import ROW_FIELDS, load_plan, sweep, write_csv
+from rankci.harness import ROW_FIELDS, sweep, write_csv
 from rankci.metrics import parse_metric, predicted_utilities
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
@@ -619,6 +624,22 @@ def test_a_bad_config_value_names_the_file_and_the_key(labeled_corpus, tmp_path,
     assert not out_path.exists()
 
 
+def test_an_unknown_config_key_is_a_usage_error(labeled_corpus, tmp_path, capsys):
+    cfg = tmp_path / "rankci.cfg"
+    cfg.write_text("# a typo\nalhpa = 0.5\n", encoding="utf-8")
+    out_path = tmp_path / "ci.json"
+    files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"], "--batches", "200"]
+    code, out, err = _run_main(["ci", "--config", str(cfg), *files, "--out", str(out_path)], capsys)
+    assert (code, out) == (1, "")
+    assert f"config {cfg} line 2: unknown key 'alhpa'" in err
+    assert not out_path.exists()
+    # A key that another command reads is no error: one file serves every command.
+    cfg.write_text("alpha = 0.5\nn-labeled = 4\nrepeats = 2\noutput_dir = out\n", encoding="utf-8")
+    code, out, err = _run_main(["ci", "--config", str(cfg), *files], capsys)
+    assert code == 0, err
+    assert out.startswith("method: bootstrap  metric: dcg@10  alpha: 0.5\n")
+
+
 # --- sweep ----------------------------------------------------------------------------
 
 
@@ -662,14 +683,18 @@ def test_sweep_out_must_end_in_csv(monkeypatch, tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_builds_the_same_plan_as_a_plan_file(capsys):
-    """``rankci sweep`` and plan files share one plan builder: SWEEP_ARGS give
-    the rows of the plan with the corresponding keys."""
+def test_sweep_builds_the_same_plan_as_a_plan_file(tmp_path, capsys):
+    """``rankci sweep`` and plan files share one option table and one plan
+    builder: SWEEP_ARGS give the rows of the plan with the corresponding keys."""
     code, out, _ = _run_main(SWEEP_ARGS, capsys)
     assert code == 0
-    plan = load_plan(
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(
         "queries = 24\ndocs_per_query = 6\nmax_label = 2\ntruth_prior = 0.5,0.3,0.2\n"
-        "sharpness = 4.0\nsynth_seed = 3\nn_grid = 4\nrepeats = 2\nbatches = 120\nseed = 5\n")
+        "sharpness = 4.0\nsynth_seed = 3\nn_grid = 4\nrepeats = 2\nbatches = 120\nseed = 5\n",
+        encoding="utf-8")
+    _, plan = cli._sweep_plan(
+        build_parser("rankci-harness").parse_args(["sweep", "--config", str(plan_file)]))
     rows = sweep(generate(plan.synth), plan.metric, n_grid=plan.n_grid,
                  beta_grid=plan.beta_grid, tau_grid=plan.tau_grid, methods=plan.methods,
                  repeats=plan.repeats, alpha=plan.alpha, num_batches=plan.num_batches,
@@ -679,15 +704,96 @@ def test_sweep_builds_the_same_plan_as_a_plan_file(capsys):
     assert out == expected.getvalue()
 
 
+@pytest.mark.parametrize("key, other, value", [
+    ("n_grid", "n_labeled", "4"), ("beta_grid", "beta", "0,0.5"), ("tau_grid", "tau", "0,1"),
+])
+def test_a_grid_reads_the_same_under_both_of_its_names(tmp_path, capsys, key, other, value):
+    """Each of the three grids takes its plan name and its second name, as a
+    flag and as a config key; all four give the same rows."""
+    i = SWEEP_ARGS.index("--n-labeled")
+    base = SWEEP_ARGS[:i] + SWEEP_ARGS[i + 2:] + ([] if key == "n_grid" else ["--n-labeled", "4"])
+    results = []
+    for name in (key, other, key.replace("_", "-"), other.replace("_", "-")):
+        results.append(_run_main([*base, f"--{name.replace('_', '-')}", value], capsys))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+        results.append(_run_main([*base, "--config", str(cfg)], capsys))
+    assert results[0][0] == 0, results[0][2]
+    assert all(r == results[0] for r in results)
+    assert _run_main(base, capsys)[1] != results[0][1]  # the value took effect
+
+
+def test_the_entry_points_differ_in_three_defaults_only(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("", encoding="utf-8")
+    (o, plan), (h_o, h_plan) = (
+        cli._sweep_plan(build_parser(prog).parse_args(["sweep", "--config", str(cfg)]))
+        for prog in ("rankci", "rankci-harness"))
+    assert (plan.repeats, plan.n_grid, o.output_dir) == (50, (20,), None)
+    assert (h_plan.repeats, h_plan.n_grid, h_o.output_dir) == (500, (10, 20, 40, 80), "harness-out")
+    assert {k for k, v in vars(o).items() if v != getattr(h_o, k)} == {"repeats", "n_grid",
+                                                                         "output_dir"}
+    assert h_plan == replace(plan, repeats=500, n_grid=(10, 20, 40, 80))
+
+
+def test_sweep_stdout_is_pinned(capsys):
+    """sha256 of SWEEP_ARGS' stdout as rankci wrote it before ``rankci sweep``
+    took over every plan."""
+    code, out, _ = _run_main(SWEEP_ARGS, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6df96f584e6fa3ceedaeb205685cb442a42ef824a9329b9d4d76fc8b1e409de2")
+
+
+def test_a_file_sourced_sweep_reports_dataset_errors_as_ci_does(labeled_corpus, tmp_path, capsys):
+    lines = Path(labeled_corpus["dists"]).read_text(encoding="utf-8").splitlines()
+    dists = tmp_path / "short.jsonl"
+    dists.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")  # a ranked document unpredicted
+    files = ["--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"], "--dists", str(dists)]
+    errors = []
+    for argv in (["ci", "--method", "ppi", *files],
+                 ["sweep", *files, "--n-labeled", "4", "--repeats", "2", "--batches", "120"],
+                 ["sweep", *files, "--output-dir", str(tmp_path / "out")]):
+        code, out, err = _run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        errors.append([line for line in err.splitlines() if line.startswith("dataset error: ")])
+    assert errors[0] and errors[0] == errors[1] == errors[2]
+    assert "no predicted distribution" in errors[0][0]
+    assert not (tmp_path / "out").exists()
+
+
+def _table_after(text, header):
+    """The ``| a | b | ...`` rows of the markdown table under ``header``, as cell lists."""
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               text[text.index(header):].splitlines()[2:])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_the_readme_key_table_lists_the_keys_and_flags_of_rankci_sweep():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = {row[0].strip("`"): set(re.findall(r"`(--[a-z-]+)`", row[1]))
+                  for row in _table_after(readme, "| key | flag | default | meaning |")}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == {a.dest: set(a.option_strings) for a in sub.choices["sweep"]._actions
+                          if a.dest not in ("help", "config")}
+
+
 # --- rankci-harness exit codes ---------------------------------------------------------
 
 
+# A plan runs as ``rankci-harness PLAN`` and as ``rankci sweep --config PLAN``.
+_PLAN_RUNNERS = (harness_main, lambda argv: main(["sweep", "--config", *argv]))
+
+
 def _run_harness(tmp_path, plan_text, capsys):
+    """``(code, stdout, stderr)`` of each entry point on a plan file holding
+    ``plan_text``, writing to ``tmp_path / "out"``; yielded after each run."""
     plan = tmp_path / "plan.txt"
     plan.write_text(plan_text, encoding="utf-8")
-    code = harness_main([str(plan), "--output-dir", str(tmp_path / "out")])
-    out, err = capsys.readouterr()
-    return code, out, err
+    for run in _PLAN_RUNNERS:
+        code = run([str(plan), "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        yield code, out, err
 
 
 @pytest.mark.parametrize("plan_text, message", [
@@ -695,47 +801,116 @@ def _run_harness(tmp_path, plan_text, capsys):
     ("bogus = 1\n", "unknown key"),
 ])
 def test_harness_malformed_plan_is_a_usage_error(tmp_path, capsys, plan_text, message):
-    code, _, err = _run_harness(tmp_path, plan_text, capsys)
-    assert code == 1
-    assert message in err
+    for code, _, err in _run_harness(tmp_path, plan_text, capsys):
+        assert code == 1
+        assert message in err
 
 
 def test_harness_without_a_plan_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        harness_main([])
-    assert exc.value.code == 1
+    for run in _PLAN_RUNNERS:
+        with pytest.raises(SystemExit) as exc:
+            run([])
+        assert exc.value.code == 1
 
 
 def test_harness_missing_plan_file_is_an_io_error(tmp_path, capsys):
-    code = harness_main([str(tmp_path / "no-such-plan.txt")])
-    _, err = capsys.readouterr()
-    assert code == 2
-    assert "i/o error" in err
+    for run in _PLAN_RUNNERS:
+        code = run([str(tmp_path / "no-such-plan.txt")])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "i/o error" in err
 
 
 def test_harness_with_too_few_batches_exits_1_without_an_output_directory(tmp_path, capsys):
-    code, out, err = _run_harness(
-        tmp_path, "queries = 60\ndocs_per_query = 12\nn_grid = 4\nrepeats = 2\nbatches = 50\n",
-        capsys)
-    assert code == 1
-    assert out == ""
-    assert "num_batches=50" in err
-    assert not (tmp_path / "out").exists()
+    for code, out, err in _run_harness(
+            tmp_path, "queries = 60\ndocs_per_query = 12\nn_grid = 4\nrepeats = 2\nbatches = 50\n",
+            capsys):
+        assert code == 1
+        assert out == ""
+        assert "num_batches=50" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_harness_infeasible_calibration_exits_3(tmp_path, capsys):
     # Singleton-batch calibration on a 5-query validation half has too few
     # batches for alpha = 0.05.
-    code, _, err = _run_harness(
-        tmp_path,
-        "queries = 10\ndocs_per_query = 12\nn_grid = 2\nbatches = 100\nmethods = crc\n"
-        "repeats = 2\n",
-        capsys)
-    assert code == 3
-    assert "calibration infeasible" in err
-    out_dir = tmp_path / "out"
-    assert not any((out_dir / name).exists()
-                   for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"))
+    for code, _, err in _run_harness(
+            tmp_path,
+            "queries = 10\ndocs_per_query = 12\nn_grid = 2\nbatches = 100\nmethods = crc\n"
+            "repeats = 2\n",
+            capsys):
+        assert code == 3
+        assert "calibration infeasible" in err
+        out_dir = tmp_path / "out"
+        assert not any((out_dir / name).exists()
+                       for name in ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json"))
+
+
+def test_a_misspelled_plan_key_is_a_usage_error_under_both_entry_points(tmp_path, capsys):
+    for code, out, err in _run_harness(tmp_path, "queries = 60\nn_gird = 10\n", capsys):
+        assert (code, out) == (1, "")
+        assert f"config {tmp_path / 'plan.txt'} line 2: unknown key 'n_gird'" in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--out", "rows.csv", "--output-dir", "out"],
+    ["sweep", "--config", "plan.txt", "--out", "rows.csv"],
+    ["harness", "plan.txt", "--out", "rows.csv"],
+], ids=["flags", "config", "harness"])
+def test_out_with_an_output_directory_is_a_usage_error_before_any_work(monkeypatch, tmp_path,
+                                                                      capsys, argv):
+    monkeypatch.setattr("rankci.cli.generate", lambda *a: pytest.fail("sweep data generated"))
+    monkeypatch.chdir(tmp_path)
+    Path("plan.txt").write_text("output_dir = out\n", encoding="utf-8")
+    code = harness_main(argv[1:]) if argv[0] == "harness" else main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "cannot both be set" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.txt"]
+
+
+# Two small plans and the sha256 of each artifact that ``rankci-harness`` wrote
+# for them with its own parser, before it became a call into ``rankci sweep``.
+_GRID = "n_grid = 4,8\nbeta_grid = 0,0.5\ntau_grid = 0,1\nrepeats = 3\nbatches = 120\nseed = 5\n"
+_PINNED = {
+    "synthetic": ("9e17c21599c30e11f9e8f93929c5979a6f42ebecfc40c16c4c93515c80ac4c2e",
+                  "98bd40b82823b1728c0e4e275cc2357c4cf411234132fee8b15f0de2738224ea",
+                  "f7476ced444c9bcf66a9d95d711c83af85f480c0339474210584a1734c1b8851",
+                  "04d2832387a6960edfcc85b1a97aff34d817176b2614c6a6666de2207f7809e9"),
+    "files": ("aa6affca28b19e030c1a0fca5ef6f6cb513524c1127cdae1d53d49f718c7e629",
+              "57d6737e295ce3256f18acc4e390bbd61232c5f8873ebc82a7f85fb35c5fbae8",
+              "95c25989be9a440ff6e47c6931a1c0df3dab552055651a5cf33b868962568859",
+              "c9dd1542d3bb593c2eb3f3e7dedc4b72585d5d1618ff3ad80c1de7f176811b38"),
+}
+_ARTIFACTS = ("rows.csv", "aggregate.csv", "per_query.csv", "summary.json")
+
+
+def _pinned_plan(kind, tmp_path):
+    if kind == "synthetic":
+        return ("name = pinned-synthetic\nqueries = 48\ndocs_per_query = 8\nmax_label = 2\n"
+                "truth_prior = 0.5,0.3,0.2\nsharpness = 4.0\nsynth_seed = 3\n" + _GRID)
+    ds = generate(SynthConfig(num_queries=48, docs_per_query=8, scale=LabelScale(2),
+                              truth_prior=(0.6, 0.25, 0.15), annotator_sharpness=3.0, seed=4))
+    files = _corpus_files(ds, tmp_path / "corpus")
+    return (f"name = pinned-files\nmetric = prec@5\nalpha = 0.1\n{_GRID}"
+            + "".join(f"{key} = {path}\n" for key, path in files.items()))
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED))
+def test_both_entry_points_write_a_plans_pinned_bytes(tmp_path, capsys, kind):
+    """``rankci-harness PLAN`` and ``rankci sweep --config PLAN --output-dir D``
+    write the same bytes, and those are the pinned ones."""
+    plan = tmp_path / "plan.txt"
+    plan.write_text(_pinned_plan(kind, tmp_path), encoding="utf-8")
+    written = []
+    for i, run in enumerate(_PLAN_RUNNERS):
+        out_dir = tmp_path / f"out{i}"
+        assert run([str(plan), "--output-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {out_dir / name}\n" for name in _ARTIFACTS)
+        written.append([(out_dir / name).read_bytes() for name in _ARTIFACTS])
+    assert written[0] == written[1]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in written[0]) == _PINNED[kind]
 
 
 # --- byte determinism through the real entry point -------------------------------------

@@ -1,4 +1,7 @@
-"""Experiment harness: pool halving, sweeps, aggregation, plan files."""
+"""Experiment harness: pool halving, sweeps, aggregation, plan files.
+
+Plan files are read as ``rankci-harness`` reads them: through ``rankci sweep``'s
+one option table (``rankci.cli``)."""
 
 import csv
 import io
@@ -20,13 +23,12 @@ from rankci.harness import (
     aggregate,
     default_plan,
     halve_pool,
-    load_plan,
     per_query_rows,
     run_plan,
     sweep,
     write_csv,
 )
-from rankci import bootstrap
+from rankci import bootstrap, cli
 from rankci.bootstrap import bootstrap_ci
 from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.crc import build_batches, calibrate, crc_ci
@@ -486,13 +488,21 @@ def test_plan_validates_grids_and_methods():
         default_plan(repeats=0)
 
 
-def test_load_plan_defaults_match_default_plan():
-    plan = load_plan("name = desk-scale\n")
+def _plan_file(text, tmp_path):
+    """The plan that ``rankci-harness`` runs from a plan file holding ``text``."""
+    path = tmp_path / "plan.txt"
+    path.write_text(text, encoding="utf-8")
+    args = cli.build_parser("rankci-harness").parse_args(["sweep", "--config", str(path)])
+    return cli._sweep_plan(args)[1]
+
+
+def test_load_plan_defaults_match_default_plan(tmp_path):
+    plan = _plan_file("name = desk-scale\n", tmp_path)
     ref = default_plan()
     assert plan == ref
 
 
-def test_load_plan_parses_overrides():
+def test_load_plan_parses_overrides(tmp_path):
     text = """
     # comment
     name = custom
@@ -515,7 +525,7 @@ def test_load_plan_parses_overrides():
     workers = 2
     output_dir = out-here
     """
-    plan = load_plan(text)
+    plan = _plan_file(text, tmp_path)
     assert plan.name == "custom"
     assert plan.metric == parse_metric("prec@5")
     assert plan.synth.truth_prior == (0.5, 0.3, 0.2)
@@ -529,15 +539,15 @@ def test_load_plan_parses_overrides():
     assert plan.output_dir == "out-here"
 
 
-def test_load_plan_rejects_unknown_keys_and_bad_lines():
+def test_load_plan_rejects_unknown_keys_and_bad_lines(tmp_path):
     with pytest.raises(ValueError, match="unknown key"):
-        load_plan("bogus = 1\n")
+        _plan_file("bogus = 1\n", tmp_path)
     with pytest.raises(ValueError, match="line 2"):
-        load_plan("name = x\nnot a pair\n")
+        _plan_file("name = x\nnot a pair\n", tmp_path)
 
 
-def test_load_plan_file_source():
-    plan = load_plan("run = r.txt\nqrels = q.txt\ndists = d.jsonl\n")
+def test_load_plan_file_source(tmp_path):
+    plan = _plan_file("run = r.txt\nqrels = q.txt\ndists = d.jsonl\n", tmp_path)
     assert plan.synth is None
     assert plan.run_path == "r.txt"
 
@@ -552,7 +562,7 @@ def test_run_plan_writes_all_artifacts(tmp_path):
         n_grid=(4,), repeats=3, num_batches=120, tau_grid=(0.0, 1.0),
         output_dir=str(tmp_path / "out"),
     )
-    out_dir = run_plan(plan)
+    out_dir = run_plan(plan, generate(plan.synth))
     assert (out_dir / "rows.csv").exists()
     assert (out_dir / "aggregate.csv").exists()
     assert (out_dir / "per_query.csv").exists()
@@ -577,18 +587,26 @@ def test_run_plan_writes_all_artifacts(tmp_path):
         assert coverage == pytest.approx(agg["coverage"])
 
 
-def test_a_file_sourced_plan_writes_the_artifacts_of_its_synthetic_twin(tmp_path):
+def test_a_file_sourced_plan_writes_the_artifacts_of_its_synthetic_twin(tmp_path, capsys):
     grid = "n_grid = 4,8\nbeta_grid = 0,0.5\ntau_grid = 0,0.5\nrepeats = 3\nbatches = 120\n"
-    synthetic = load_plan(f"{grid}queries = 40\ndocs_per_query = 20\n"
-                          f"output_dir = {tmp_path / 'synthetic'}\n")
+    synthetic = _plan_file(f"{grid}queries = 40\ndocs_per_query = 20\n"
+                           f"output_dir = {tmp_path / 'synthetic'}\n", tmp_path)
     ds = generate(synthetic.synth)
     for name, text in (("run", write_run(ds.rankings)), ("qrels", write_qrels(ds.truth)),
                        ("dists", write_dists(ds.predicted))):
         (tmp_path / name).write_text(text, encoding="utf-8")
-    files = load_plan(f"{grid}run = {tmp_path / 'run'}\nqrels = {tmp_path / 'qrels'}\n"
-                      f"dists = {tmp_path / 'dists'}\noutput_dir = {tmp_path / 'files'}\n")
+    files = _plan_file(f"{grid}run = {tmp_path / 'run'}\nqrels = {tmp_path / 'qrels'}\n"
+                       f"dists = {tmp_path / 'dists'}\noutput_dir = {tmp_path / 'files'}\n", tmp_path)
     assert files.synth is None
-    expected, got = run_plan(synthetic), run_plan(files)
+    expected = run_plan(synthetic, ds)
+    # The file plan runs through rankci sweep's flags, its file loader included.
+    got = tmp_path / "files"
+    assert cli.main(["sweep", "--n-grid", "4,8", "--beta", "0,0.5", "--tau-grid", "0,0.5",
+                     "--repeats", "3", "--batches", "120", "--output-dir", str(got),
+                     *(f"--{name}={tmp_path / name}" for name in ("run", "qrels", "dists"))]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {got / name}" for name in ("rows.csv", "aggregate.csv", "per_query.csv",
+                                           "summary.json")]
     for name in ("rows.csv", "aggregate.csv", "per_query.csv"):
         assert (got / name).read_bytes() == (expected / name).read_bytes(), name
     summaries = [json.loads((d / "summary.json").read_text(encoding="utf-8")) for d in (expected, got)]
