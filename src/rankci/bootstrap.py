@@ -74,7 +74,20 @@ def bootstrap_ci(
 def _percentile_bounds(arr: np.ndarray, alpha: float,
                        blocks: Iterable[np.ndarray]) -> tuple[float, float]:
     """:func:`bootstrap_ci`'s ``(lower, upper)`` over the index rows of ``blocks``,
-    positions into ``arr``, with no input checks."""
+    positions into ``arr``, with no input checks.
+
+    The bits of ``np.percentile(means, ..., method="linear")`` from one partition: the
+    means ``a`` and ``b`` either side of position ``(M - 1) * p / 100`` (both the largest
+    at or past the end, where numpy weighs by the position + 1), and numpy's lerp."""
     means = np.concatenate([arr[index].mean(axis=1) for index in blocks])
-    lower, upper = np.percentile(means, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)], method="linear")
-    return float(lower), float(upper)
+    last = means.size - 1
+    pos = [last * (p / 100) for p in (100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0))]
+    prev = [int(x) if x < last else -1 for x in pos]  # floor: positions are >= 0
+    means.partition([-1, *prev, *(i + 1 for i in prev if i >= 0)])
+    if np.isnan(means[-1]):  # NaN sorts last, and numpy then reports it for both
+        return float(means[-1]), float(means[-1])
+    bounds = []
+    for x, i in zip(pos, prev):
+        a, b, t = float(means[i]), float(means[i + 1 if i >= 0 else -1]), x - i
+        bounds.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return bounds[0], bounds[1]

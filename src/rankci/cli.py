@@ -344,7 +344,8 @@ _SWEEP = {
     "methods": (_list(str), None, "comma list of bootstrap,ppi,crc (default all three)"),
     "seed": (int, None, "sweep seed (default 7)"),
     "split_seed": (int, None, "validation/test halving seed (default 11)"),
-    "workers": (int, None, "worker threads for repeats (default 1)"),
+    "workers": (int, None, "worker threads, one round-robin chunk of (n, repeat) units "
+                           "each; output identical for any value (default 1)"),
     "output_dir": (str, None, "write the four artifacts here (default: none; harness-out "
                               "under rankci-harness)"),
     "out": (str, None, "write the CSV rows to this .csv path instead of stdout"),
@@ -408,15 +409,21 @@ def _usage(args, message: str) -> int:
 
 
 def build_parser(prog: str = "rankci") -> _Parser:
-    """The parser of ``prog``: ``rankci``, or ``rankci-harness`` for its defaults."""
+    """The parser of ``prog``: ``rankci``, or ``rankci-harness`` for its defaults.
+    ``rankci-harness``'s ``sweep`` is its whole command line (:func:`harness_main`
+    puts ``sweep`` first) and takes its plan file as ``PLAN`` in place of ``--config``."""
     parser = _Parser(prog=prog, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, func, table, text in (
             ("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
             ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
             ("sweep", cmd_sweep, _SWEEP, "coverage/width sweep of a plan")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", help="key = value config file; flags override it")
+        plan = prog == "rankci-harness" and name == "sweep"
+        p = sub.add_parser(name, help=text, prog=prog if plan else None, description=text)
+        if plan:
+            p.add_argument("config", metavar="PLAN", help="key = value plan file; flags override it")
+        else:
+            p.add_argument("--config", help="key = value config file; flags override it")
         for key, (parse, _, help_text, *aliases) in table.items():
             flags = ["--" + name.replace("_", "-") for name in (key, *aliases)]
             if parse is _bool:
@@ -455,9 +462,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def harness_main(argv: list[str] | None = None) -> int:
     """``rankci-harness PLAN [flag ...]``: ``rankci sweep --config PLAN [flag ...]``
-    with the harness's defaults."""
+    with the harness's defaults; ``PLAN`` may stand anywhere among the flags."""
     argv = sys.argv[1:] if argv is None else argv
-    return _dispatch(build_parser("rankci-harness"), ["sweep", "--config", *argv])
+    return _dispatch(build_parser("rankci-harness"), ["sweep", *argv])
 
 
 if __name__ == "__main__":

@@ -22,9 +22,11 @@ serve every method and (beta, tau): common random numbers, which pair the
 rows and leave each method's guarantee as it was.  ppi computes each (beta, tau)'s
 pool mean and variance once and gathers every point's labeled predictions once per
 (n, repeat); each stack is reduced C-contiguous, all rows in one call, which keeps
-the bits of ``ppi_ci(ppi_estimate(...))``.  Units of work run on worker threads,
-each from its own seed-derived stream, and rows are sorted after, so the output is
-byte-identical for any worker count.  Each row is a read-only :class:`SweepRow` mapping.
+the bits of ``ppi_ci(ppi_estimate(...))``.  Each (n, repeat) is a unit of work drawn
+from its own seed-derived stream.  With ``workers`` > 1 the units are dealt round-robin
+into ``min(workers, units)`` chunks, one per worker thread (no thread runs for one
+worker), and rows are sorted after, so the output is byte-identical for any worker
+count.  Each row is a read-only :class:`SweepRow` mapping.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -269,12 +271,17 @@ def sweep(
                 rows.append(SweepRow(method, n, beta, tau, repeat, covered, low, high, truth_target, status))
         return rows
 
+    def run_chunk(chunk: list[tuple[int, int]]) -> list[SweepRow]:
+        return [row for task in chunk for row in one_repeat(*task)]
+
+    # One interleaved chunk per thread: each holds every k-th unit, so the budgets mix evenly.
     tasks = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            chunks = list(pool_exec.map(lambda t: one_repeat(*t), tasks))
+    k = min(workers, len(tasks))
+    if k > 1:
+        with ThreadPoolExecutor(max_workers=k) as pool_exec:
+            chunks = list(pool_exec.map(run_chunk, [tasks[i::k] for i in range(k)]))
     else:
-        chunks = [one_repeat(*t) for t in tasks]
+        chunks = [run_chunk(tasks)]
 
     return sorted((row for chunk in chunks for row in chunk),
                   key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))

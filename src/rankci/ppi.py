@@ -118,6 +118,10 @@ def _ppi_bounds(errors: np.ndarray, pool: tuple) -> tuple[np.ndarray, np.ndarray
     pool_mean, pool_term, z = pool
     # The sweep's gather is column-major; only C-contiguous rows sum as ppi_estimate's do.
     errors = np.ascontiguousarray(errors)
-    estimate = pool_mean + errors.mean(axis=1)
-    half = z * np.sqrt(errors.var(axis=1, ddof=1) / errors.shape[1] + pool_term)
+    # ndarray.mean and var(ddof=1) in their own operation order, with one shared row sum.
+    n = errors.shape[1]
+    mean = np.add.reduce(errors, axis=1) / n
+    dev = errors - mean[:, None]
+    estimate = pool_mean + mean
+    half = z * np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1) / n + pool_term)
     return estimate - half, estimate + half

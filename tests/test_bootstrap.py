@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankci import bootstrap as bootstrap_module
@@ -121,6 +121,51 @@ def test_percentile_bounds_equal_bootstrap_ci_in_hex(n, resamples, alpha, seed, 
               for start in range(0, resamples, rows)]
     ci = bootstrap_ci(values, alpha, resamples=resamples, seed=seed)
     assert [x.hex() for x in _percentile_bounds(values, alpha, blocks)] == [ci.lower.hex(), ci.upper.hex()]
+
+
+@st.composite
+def _percentile_cases(draw):
+    """``(kind, M, alpha)``: any alpha; a dyadic alpha with M - 1 a multiple of its
+    denominator's double ("integer": both positions land on an order statistic) or an
+    odd multiple of it ("half": both weights are 0.5); or an alpha so small that
+    1 - alpha/2 rounds to 1.0 ("tiny")."""
+    kind = draw(st.sampled_from(["any", "integer", "half", "tiny"]))
+    if kind in ("any", "tiny"):
+        alpha = draw(st.floats(1e-6, 0.999) if kind == "any" else st.floats(1e-300, 1e-16))
+        return kind, draw(st.integers(100, 5000)), alpha
+    s = draw(st.integers(1, 6))
+    alpha = (2 * draw(st.integers(0, 2 ** (s - 1) - 1)) + 1) / 2 ** s
+    step = 2 ** (s + 1) if kind == "integer" else 2 ** s
+    m = draw(st.integers(-(-99 // step), 4999 // step).filter(lambda m: kind == "integer" or m % 2))
+    return kind, m * step + 1, alpha
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(case=_percentile_cases(), n=st.integers(1, 30), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=("half", 101, 0.25), n=5, ties=False, seed=0)
+@example(case=("integer", 201, 0.5), n=5, ties=True, seed=1)
+@example(case=("tiny", 100, 1e-17), n=3, ties=False, seed=2)
+@example(case=("half", 101, 0.25), n=1, ties=False, seed=3)
+def test_percentile_bounds_equal_numpy_percentile_in_hex(case, n, ties, seed):
+    """The bounds read from one partition are np.percentile's "linear" ones bit for
+    bit, for 100 to 5,000 means, on and between order statistics and at the end.
+    With ``n = 1`` every mean is its own value, drawn over 16 decades, so that
+    neighbouring order statistics lie far apart and both lerp branches show."""
+    kind, resamples, alpha = case
+    p = [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)]
+    pos = [(resamples - 1) * (x / 100) for x in p]
+    assert {"integer": all(x.is_integer() for x in pos), "half": all(x % 1 == 0.5 for x in pos),
+            "tiny": p[1] == 100.0, "any": True}[kind]
+    if n == 1:
+        values = stream(seed, 1).normal(size=resamples) * 10.0 ** stream(seed, 2).uniform(-8, 8, resamples)
+        index = np.arange(resamples)[:, None]
+    else:
+        values = stream(seed, 1).normal(0.0, 3.0, size=n)
+        index = stream(seed).integers(0, n, size=(resamples, n))
+    values = np.round(values) if ties else values
+    expected = np.percentile(values[index].mean(axis=1), p, method="linear")
+    assert [x.hex() for x in _percentile_bounds(values, alpha, [index])] == [x.hex() for x in expected]
 
 
 def test_bootstrap_ci_memory_stays_far_below_the_dense_index_matrix():

@@ -694,7 +694,7 @@ def test_sweep_builds_the_same_plan_as_a_plan_file(tmp_path, capsys):
         "sharpness = 4.0\nsynth_seed = 3\nn_grid = 4\nrepeats = 2\nbatches = 120\nseed = 5\n",
         encoding="utf-8")
     _, plan = cli._sweep_plan(
-        build_parser("rankci-harness").parse_args(["sweep", "--config", str(plan_file)]))
+        build_parser("rankci-harness").parse_args(["sweep", str(plan_file)]))
     rows = sweep(generate(plan.synth), plan.metric, n_grid=plan.n_grid,
                  beta_grid=plan.beta_grid, tau_grid=plan.tau_grid, methods=plan.methods,
                  repeats=plan.repeats, alpha=plan.alpha, num_batches=plan.num_batches,
@@ -727,8 +727,8 @@ def test_the_entry_points_differ_in_three_defaults_only(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("", encoding="utf-8")
     (o, plan), (h_o, h_plan) = (
-        cli._sweep_plan(build_parser(prog).parse_args(["sweep", "--config", str(cfg)]))
-        for prog in ("rankci", "rankci-harness"))
+        cli._sweep_plan(build_parser(prog).parse_args(["sweep", *flag, str(cfg)]))
+        for prog, flag in (("rankci", ["--config"]), ("rankci-harness", [])))
     assert (plan.repeats, plan.n_grid, o.output_dir) == (50, (20,), None)
     assert (h_plan.repeats, h_plan.n_grid, h_o.output_dir) == (500, (10, 20, 40, 80), "harness-out")
     assert {k for k, v in vars(o).items() if v != getattr(h_o, k)} == {"repeats", "n_grid",
@@ -811,6 +811,27 @@ def test_harness_without_a_plan_is_a_usage_error():
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 1
+
+
+def test_harness_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        harness_main(["-h"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: rankci-harness [-h]")
+    assert "PLAN" in out and "--output-dir" in out and "--config" not in out
+
+
+def test_harness_takes_its_plan_after_its_flags(tmp_path, capsys):
+    """``rankci-harness --output-dir D PLAN`` writes what ``rankci-harness PLAN
+    --output-dir D`` writes: the pinned bytes."""
+    plan = tmp_path / "plan.txt"
+    plan.write_text(_pinned_plan("synthetic", tmp_path), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert harness_main(["--output-dir", str(out_dir), "--workers", "2", str(plan)]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {out_dir / name}\n" for name in _ARTIFACTS)
+    assert tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in _ARTIFACTS) == _PINNED["synthetic"]
 
 
 def test_harness_missing_plan_file_is_an_io_error(tmp_path, capsys):

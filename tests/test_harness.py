@@ -9,6 +9,7 @@ import json
 import pickle
 import tracemalloc
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -127,6 +128,45 @@ def test_grid_sweep_is_worker_independent_over_one_read_only_stack(monkeypatch):
     # Worker threads share the stack of pool predictions, one row per (beta, tau).
     assert [s.shape for s in stacks] == [(6, len(ds.labeled_queries()))] * 2
     assert not any(s.flags.writeable for s in stacks)
+
+
+def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch):
+    """Rows are byte-identical at 1, 2, 3 and 5 workers.  More than one worker
+    starts ``min(workers, units)`` threads and maps the chunks ``units[i::k]``,
+    none empty; one worker, or one unit, starts none."""
+    executors = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.threads, self.chunks = max_workers, None
+            executors.append(self)
+
+        def map(self, fn, chunks):
+            self.chunks = list(chunks)
+            return super().map(fn, self.chunks)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    ds = _dataset()
+    grid = dict(beta_grid=(0.0, 1.0), tau_grid=(0.0, 0.5), methods=("bootstrap", "ppi", "crc"),
+                alpha=0.2)
+
+    def csv_bytes(**kw):
+        buf = io.StringIO()
+        write_csv(buf, ROW_FIELDS, _tiny_sweep(ds, **grid, **kw))
+        return buf.getvalue()
+
+    for repeats, n_grid in ((3, (4, 6)), (1, (4, 6)), (1, (4,))):
+        units = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
+        one = csv_bytes(repeats=repeats, n_grid=n_grid, workers=1)
+        assert executors == []
+        for workers in (2, 3, 5):
+            assert csv_bytes(repeats=repeats, n_grid=n_grid, workers=workers) == one
+        threads = [min(w, len(units)) for w in (2, 3, 5)]
+        assert [(e.threads, e.chunks) for e in executors] == [
+            (k, [units[i::k] for i in range(k)]) for k in threads if k > 1]
+        assert all(chunk for e in executors for chunk in e.chunks)
+        executors.clear()
 
 
 def test_sweep_methods_subset():
@@ -492,7 +532,7 @@ def _plan_file(text, tmp_path):
     """The plan that ``rankci-harness`` runs from a plan file holding ``text``."""
     path = tmp_path / "plan.txt"
     path.write_text(text, encoding="utf-8")
-    args = cli.build_parser("rankci-harness").parse_args(["sweep", "--config", str(path)])
+    args = cli.build_parser("rankci-harness").parse_args(["sweep", str(path)])
     return cli._sweep_plan(args)[1]
 
 
