@@ -410,15 +410,15 @@ def _usage(args, message: str) -> int:
 
 def build_parser(prog: str = "rankci") -> _Parser:
     """The parser of ``prog``: ``rankci``, or ``rankci-harness`` for its defaults.
-    ``rankci-harness``'s ``sweep`` is its whole command line (:func:`harness_main`
-    puts ``sweep`` first) and takes its plan file as ``PLAN`` in place of ``--config``."""
+    ``rankci-harness`` has only ``sweep``, its whole command line (:func:`harness_main`
+    puts ``sweep`` first), which takes its plan file as ``PLAN`` in place of ``--config``."""
     parser = _Parser(prog=prog, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, func, table, text in (
-            ("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
-            ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
-            ("sweep", cmd_sweep, _SWEEP, "coverage/width sweep of a plan")):
-        plan = prog == "rankci-harness" and name == "sweep"
+    commands = (("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
+                ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
+                ("sweep", cmd_sweep, _SWEEP, "coverage/width sweep of a plan"))
+    plan = prog == "rankci-harness"
+    for name, func, table, text in commands[2:] if plan else commands:
         p = sub.add_parser(name, help=text, prog=prog if plan else None, description=text)
         if plan:
             p.add_argument("config", metavar="PLAN", help="key = value plan file; flags override it")

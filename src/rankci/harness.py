@@ -41,10 +41,8 @@ runs one over a loaded dataset.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
@@ -238,7 +236,7 @@ def sweep(
         halves.append((view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None)
     preds = np.array(preds)
     preds.flags.writeable = False
-    ppi_pool = _ppi_pool(preds, alpha)
+    ppi_pool = _ppi_pool(preds, alpha) if "ppi" in methods else None
 
     def one_repeat(n_idx: int, repeat: int) -> list[SweepRow]:
         n = n_grid[n_idx]
@@ -278,6 +276,7 @@ def sweep(
     tasks = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
     k = min(workers, len(tasks))
     if k > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays its import
         with ThreadPoolExecutor(max_workers=k) as pool_exec:
             chunks = list(pool_exec.map(run_chunk, [tasks[i::k] for i in range(k)]))
     else:
@@ -398,6 +397,7 @@ def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) ->
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, fields, rows)
         return
+    import csv
     writer = csv.DictWriter(dest, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)

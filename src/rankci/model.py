@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from dataclasses import asdict, dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class _PairTable(Mapping):
 
     def row_of(self, keys: Collection[tuple[str, str]]) -> np.ndarray:
         """The row of each of ``keys``; -1 for a pair the table does not hold."""
-        get = self.rows.get
-        return np.fromiter((get(k, -1) for k in keys), np.intp, len(keys))
+        return np.fromiter(map(self.rows.get, keys, repeat(-1)), np.intp, len(keys))
 
     def __contains__(self, key) -> bool:
         return key in self.rows

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -83,12 +82,18 @@ def ppi_estimate(
     )
 
 
+def _z(alpha: float) -> float:
+    """The normal quantile at ``1 - alpha / 2``, importing ``statistics`` only when asked."""
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
 def ppi_ci(est: PpiEstimate, alpha: float = 0.05) -> CiReport:
     """Normal interval around a prediction-powered estimate, symmetric by
     construction."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z = _z(alpha)
     half = z * float(np.sqrt(est.var_error / est.n + est.var_pred / est.n_total))
     return CiReport(
         method="ppi",
@@ -109,8 +114,7 @@ def ppi_ci(est: PpiEstimate, alpha: float = 0.05) -> CiReport:
 def _ppi_pool(preds: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Each row's mean and ``var_pred / N`` for a ``G x N`` stack of pool predictions, and z."""
     preds = np.ascontiguousarray(preds)  # see _ppi_bounds
-    return (preds.mean(axis=1), preds.var(axis=1, ddof=1) / preds.shape[1],
-            NormalDist().inv_cdf(1.0 - alpha / 2.0))
+    return preds.mean(axis=1), preds.var(axis=1, ddof=1) / preds.shape[1], _z(alpha)
 
 
 def _ppi_bounds(errors: np.ndarray, pool: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -146,7 +146,8 @@ def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch
             self.chunks = list(chunks)
             return super().map(fn, self.chunks)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    # The sweep imports its executor from concurrent.futures when it starts threads.
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
     ds = _dataset()
     grid = dict(beta_grid=(0.0, 1.0), tau_grid=(0.0, 0.5), methods=("bootstrap", "ppi", "crc"),
                 alpha=0.2)
