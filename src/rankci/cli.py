@@ -409,20 +409,22 @@ def _usage(args, message: str) -> int:
 
 
 def build_parser(prog: str = "rankci") -> _Parser:
-    """The parser of ``prog``: ``rankci``, or ``rankci-harness`` for its defaults.
-    ``rankci-harness`` has only ``sweep``, its whole command line (:func:`harness_main`
-    puts ``sweep`` first), which takes its plan file as ``PLAN`` in place of ``--config``."""
-    parser = _Parser(prog=prog, description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    """The parser of ``prog``: ``rankci``, or ``rankci-harness``, whose whole
+    command line is ``sweep``'s, with its plan file as ``PLAN`` in place of
+    ``--config`` and its own defaults."""
     commands = (("evaluate", cmd_evaluate, _FILES, "per-query and dataset utilities"),
                 ("ci", cmd_ci, _CI, "confidence interval for the dataset utility"),
                 ("sweep", cmd_sweep, _SWEEP, "coverage/width sweep of a plan"))
     plan = prog == "rankci-harness"
+    if not plan:
+        parser = _Parser(prog=prog, description=__doc__.split("\n\n")[0])
+        sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, func, table, text in commands[2:] if plan else commands:
-        p = sub.add_parser(name, help=text, prog=prog if plan else None, description=text)
         if plan:
+            parser = p = _Parser(prog=prog, description=text)
             p.add_argument("config", metavar="PLAN", help="key = value plan file; flags override it")
         else:
+            p = sub.add_parser(name, help=text, description=text)
             p.add_argument("--config", help="key = value config file; flags override it")
         for key, (parse, _, help_text, *aliases) in table.items():
             flags = ["--" + name.replace("_", "-") for name in (key, *aliases)]
@@ -430,7 +432,7 @@ def build_parser(prog: str = "rankci") -> _Parser:
                 p.add_argument(*flags, dest=key, action="store_const", const=True, help=help_text)
             else:
                 p.add_argument(*flags, dest=key, type=parse, help=help_text)
-        p.set_defaults(func=func, entry=prog)
+        p.set_defaults(func=func, entry=prog, command=name)
     return parser
 
 
@@ -463,8 +465,7 @@ def main(argv: list[str] | None = None) -> int:
 def harness_main(argv: list[str] | None = None) -> int:
     """``rankci-harness PLAN [flag ...]``: ``rankci sweep --config PLAN [flag ...]``
     with the harness's defaults; ``PLAN`` may stand anywhere among the flags."""
-    argv = sys.argv[1:] if argv is None else argv
-    return _dispatch(build_parser("rankci-harness"), ["sweep", *argv])
+    return _dispatch(build_parser("rankci-harness"), argv)
 
 
 if __name__ == "__main__":

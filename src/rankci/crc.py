@@ -77,20 +77,38 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _perturb_rows(probs: np.ndarray, lam: float) -> np.ndarray:
+def _masses(probs: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that strength ``lam``'s sign perturbs (``probs`` for lam > 0,
+    else its mirror ``probs[:, ::-1]``) and the mass below each of their
+    labels, ``np.cumsum(rows, axis=1) - rows``: both read-only, copied
+    label-major (``L x R``, C-contiguous), so that every step of a
+    perturbation runs along whole rows of R values."""
+    rows = np.ascontiguousarray(probs.T if lam > 0.0 else probs.T[::-1])
+    below = np.cumsum(rows, axis=0)
+    below -= rows
+    for a in (rows, below):
+        a.setflags(write=False)
+    return rows, below
+
+
+def _perturb_rows(probs: np.ndarray, lam: float, masses=None) -> np.ndarray:
     """Perturb every row of a (rows, labels) matrix at strength ``lam``.
 
     Rows must be valid probability vectors.  Returns each row renormalised by
-    its own ``left_sum``; at lam = 0, ``probs`` itself.  A negative strength
-    perturbs the mirrored rows and mirrors the result back.
+    its own ``left_sum``, as a new array (the transpose of a label-major
+    one); at lam = 0, ``probs`` itself.  A negative strength perturbs the
+    mirrored rows and mirrors the result back.  ``masses`` may give
+    ``_masses(probs, lam)``; one temporary holds every step.
     """
     if lam == 0.0:
         return probs
-    if lam < 0.0:
-        return _perturb_rows(probs[:, ::-1], -lam)[:, ::-1]
-    below = np.cumsum(probs, axis=1) - probs
-    q = np.maximum(0.0, probs - np.maximum(0.0, lam - below))
-    return q / left_sum(q)[:, None]
+    rows, below = _masses(probs, lam) if masses is None else masses
+    q = np.subtract(abs(lam), below)
+    np.maximum(0.0, q, out=q)
+    np.subtract(rows, q, out=q)
+    np.maximum(0.0, q, out=q)
+    q /= left_sum(q.T)
+    return (q if lam > 0.0 else q[::-1]).T
 
 
 def perturb_distribution(dist: RelevanceDistribution, lam: float) -> RelevanceDistribution:
@@ -138,11 +156,14 @@ class _UtilityEngine(UtilityView):
     utilities: ``per_query_utility(lam)`` perturbs every row at once and sums
     weight * expected gain per query.
 
-    Two caches, filled on first use and never copied by ``subset`` or
-    ``with_probs``: the knots and a memo of perturbed utilities at knot
-    strengths only.  Only calibration reads them."""
+    Three caches, filled on first use and never copied by ``subset`` or
+    ``with_probs``: the label ``masses`` of each sign's rows (built when a
+    strength of that sign is first evaluated), the knots and a memo of
+    perturbed utilities at knot strengths only.  Only calibration reads the
+    last two."""
 
-    _CACHES = ("knots", "memo")
+    _CACHES = ("masses", "knots", "memo")
+    masses = functools.cached_property(lambda self: {})
     knots = functools.cached_property(lambda self: _knots(self.probs))
     memo = functools.cached_property(lambda self: {})
 
@@ -153,7 +174,12 @@ class _UtilityEngine(UtilityView):
 
     def per_query_utility(self, lam: float) -> np.ndarray:
         """Perturbed utility of every query, in query_ids order."""
-        return self._per_query(left_sum(_perturb_rows(self.probs, lam) * self.gains))
+        if lam == 0.0:
+            return self.predicted_utilities()
+        if (masses := self.masses.get(lam > 0.0)) is None:
+            masses = self.masses.setdefault(lam > 0.0, _masses(self.probs, lam))
+        q = _perturb_rows(self.probs, lam, masses).T
+        return self._per_query(left_sum(np.multiply(q, self.gains[:, None], out=q).T))
 
     def knot_utility(self, lam: float) -> np.ndarray:
         """``per_query_utility(lam)``, memoised read-only at a knot.  Calibration
@@ -551,7 +577,7 @@ def _per_query_bounds(view: _UtilityEngine, calibration: CrcCalibration):
 
 def _crc_bounds(view: _UtilityEngine, calibration: CrcCalibration) -> tuple[float, float]:
     """:func:`crc_ci`'s (lower, upper) over every query of a view, without the stamp check."""
-    lo, hi = (float(u.mean()) for u in _per_query_bounds(view, calibration))
+    lo, hi = (float(np.add.reduce(u) / u.size) for u in _per_query_bounds(view, calibration))
     return min(lo, hi), max(lo, hi)
 
 

@@ -225,7 +225,18 @@ class RankOrder:
         qids = sorted(rankings)
         keys = [(q, d) for q in qids for d in rankings[q].doc_ids]
         rows = predicted.row_of(keys)
-        labels = np.append(truth.labels, -1)[rows] if truth.rows is predicted.rows else truth.at(keys)
+        if truth.rows is predicted.rows:
+            labels = np.append(truth.labels, -1)[rows]
+        else:
+            # Label the predicted rows from the judged pairs (one lookup each,
+            # usually fewer than the ranked pairs); only a ranked pair without
+            # a row is looked up in the truth itself.
+            judged = predicted.row_of(truth.rows)
+            by_row = np.full(len(predicted) + 1, -1, truth.labels.dtype)
+            by_row[judged[judged >= 0]] = truth.labels[judged >= 0]
+            labels = by_row[rows]
+            if (alone := np.flatnonzero(rows < 0)).size:
+                labels[alone] = truth.at([keys[i] for i in alone.tolist()])
         starts = np.cumsum([0, *(len(rankings[q]) for q in qids)], dtype=np.intp)
         return cls(qids, rows, labels, starts, (rankings, truth, predicted.rows))
 

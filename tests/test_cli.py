@@ -694,7 +694,7 @@ def test_sweep_builds_the_same_plan_as_a_plan_file(tmp_path, capsys):
         "sharpness = 4.0\nsynth_seed = 3\nn_grid = 4\nrepeats = 2\nbatches = 120\nseed = 5\n",
         encoding="utf-8")
     _, plan = cli._sweep_plan(
-        build_parser("rankci-harness").parse_args(["sweep", str(plan_file)]))
+        build_parser("rankci-harness").parse_args([str(plan_file)]))
     rows = sweep(generate(plan.synth), plan.metric, n_grid=plan.n_grid,
                  beta_grid=plan.beta_grid, tau_grid=plan.tau_grid, methods=plan.methods,
                  repeats=plan.repeats, alpha=plan.alpha, num_batches=plan.num_batches,
@@ -727,8 +727,8 @@ def test_the_entry_points_differ_in_three_defaults_only(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("", encoding="utf-8")
     (o, plan), (h_o, h_plan) = (
-        cli._sweep_plan(build_parser(prog).parse_args(["sweep", *flag, str(cfg)]))
-        for prog, flag in (("rankci", ["--config"]), ("rankci-harness", [])))
+        cli._sweep_plan(build_parser(prog).parse_args([*flag, str(cfg)]))
+        for prog, flag in (("rankci", ["sweep", "--config"]), ("rankci-harness", [])))
     assert (plan.repeats, plan.n_grid, o.output_dir) == (50, (20,), None)
     assert (h_plan.repeats, h_plan.n_grid, h_o.output_dir) == (500, (10, 20, 40, 80), "harness-out")
     assert {k for k, v in vars(o).items() if v != getattr(h_o, k)} == {"repeats", "n_grid",
@@ -820,6 +820,22 @@ def test_harness_help_exits_0(capsys):
     assert exc.value.code == 0 and err == ""
     assert out.startswith("usage: rankci-harness [-h]")
     assert "PLAN" in out and "--output-dir" in out and "--config" not in out
+
+
+@pytest.mark.parametrize("argv, unknown", [(["plan.txt", "extra"], "extra"),
+                                           (["--bogus", "plan.txt"], "--bogus")])
+def test_harness_unknown_argument_prints_the_plan_usage(capsys, argv, unknown):
+    """An argument the sweep does not know exits 1 under the usage that
+    ``rankci-harness -h`` starts with, not a subcommand word the user never types."""
+    with pytest.raises(SystemExit):
+        harness_main(["-h"])
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    with pytest.raises(SystemExit) as exc:
+        harness_main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err == f"{usage}rankci-harness: error: unrecognized arguments: {unknown}\n"
+    assert "{sweep}" not in err and "PLAN" in err
 
 
 def test_harness_takes_its_plan_after_its_flags(tmp_path, capsys):

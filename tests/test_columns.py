@@ -216,3 +216,37 @@ def test_an_empty_ranking_counts_as_labeled_wherever_it_sits():
     assert ds.labeled_queries() == ["a", "b", "c", "e"]
     assert isinstance(ds.order, RankOrder) and ds.order.starts.tolist() == [0, 0, 1, 1, 3, 3]
     assert Dataset(LabelScale(1)).labeled_queries() == []
+
+
+def _order_labels_reference(ds):
+    keys = [(q, d) for q in sorted(ds.rankings) for d in ds.rankings[q].doc_ids]
+    return ds.truth.at(keys)
+
+
+@PROPERTY
+@given(data=raw_datasets())
+def test_rank_order_labels_equal_a_lookup_of_every_ranked_pair(data):
+    scale, rankings, truth, predicted = data
+    ds = Dataset(scale, rankings, truth, predicted)
+    expected = _order_labels_reference(ds)
+    assert ds.order.labels.dtype == expected.dtype
+    assert ds.order.labels.tolist() == expected.tolist()
+
+
+def test_rank_order_labels_cover_every_kind_of_pair():
+    """Judged pairs without a distribution, unjudged ranked pairs and judged
+    pairs that are not ranked, beside the shared-rows synthetic case."""
+    dist = RelevanceDistribution((0.5, 0.5))
+    rankings = {"a": RankedList("a", ("x", "y", "z")), "b": RankedList("b", ("x", "w"))}
+    truth = {("a", "x"): Judgment(1), ("a", "z"): Judgment(0), ("b", "w"): Judgment(1),
+             ("c", "x"): Judgment(0), ("b", "v"): Judgment(1)}
+    predicted = {("a", "x"): dist, ("a", "y"): dist, ("b", "x"): dist, ("c", "x"): dist}
+    ds = Dataset(LabelScale(1), rankings, truth, predicted)
+    assert ds.truth.rows is not ds.predicted.rows
+    # a/z and b/w are judged without a distribution; a/y and b/x are unjudged
+    # ranked pairs; c/x (with a distribution) and b/v are judged, not ranked.
+    assert ds.order.rows.tolist() == [0, 1, -1, 2, -1]
+    assert ds.order.labels.tolist() == _order_labels_reference(ds).tolist() == [1, -1, 0, -1, 1]
+    synthetic = _small(queries=9, docs=5)
+    assert synthetic.truth.rows is synthetic.predicted.rows
+    assert synthetic.order.labels.tolist() == _order_labels_reference(synthetic).tolist()

@@ -367,6 +367,85 @@ def test_a_querys_utilities_depend_only_on_its_own_rows(seed, num_queries, docs,
             assert _hex(one.per_query_utility(lam)) == _hex(together[i])
 
 
+def _reference_utilities(view, lam):
+    """Per-query perturbed utilities with each row perturbed in plain floats
+    from its own running prefix sum, then summed with its gains left to right."""
+    gains, values = view.gains.tolist(), []
+    for row in view.probs.tolist():
+        if lam != 0.0:
+            row = row[::-1] if lam < 0.0 else row
+            q, cum = [], 0.0
+            for p in row:
+                cum += p
+                q.append(max(0.0, p - max(0.0, abs(lam) - (cum - p))))
+            total = q[0]
+            for x in q[1:]:
+                total += x
+            row = [x / total for x in q]
+            row = row[::-1] if lam < 0.0 else row
+        value = row[0] * gains[0]
+        for x, g in zip(row[1:], gains[1:]):
+            value += x * g
+        values.append(value)
+    return view._per_query(np.array(values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), num_queries=st.integers(1, 8), docs=st.integers(1, 5),
+       labels=st.integers(2, 11), sparse=st.floats(0.0, 0.6),
+       lams=st.lists(st.floats(-_LAM_EDGE, _LAM_EDGE), min_size=1, max_size=6),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       spec=st.sampled_from([MetricSpec("dcg", 5, "exponential"),
+                             MetricSpec("precision", 3, "identity")]))
+def test_cached_masses_give_the_bits_of_a_reference_with_its_own_prefix_sums(
+        seed, num_queries, docs, labels, sparse, lams, picks, spec):
+    """Rows of 2-11 labels, some with exact zeros (one-hot at the extreme), at
+    strengths of both signs, 0, knots and both edges."""
+    ds = _dirichlet_dataset(seed, num_queries, docs, labels - 1)
+    view = _UtilityEngine(spec, ds, ds.queries())
+    rng = np.random.default_rng(seed)
+    probs = np.where(rng.random(view.probs.shape) < sparse, 0.0, view.probs)
+    probs[probs.sum(axis=1) == 0.0, rng.integers(labels)] = 1.0
+    view = view.with_probs(probs / probs.sum(axis=1, keepdims=True))
+    knots = [float(view.knots[int(p * (len(view.knots) - 1))]) for p in picks]
+    for lam in {*lams, *knots, *(-k for k in knots), 0.0, _LAM_EDGE, -_LAM_EDGE}:
+        expected = _hex(_reference_utilities(view, lam))
+        assert _hex(view.per_query_utility(lam)) == expected
+        assert _hex(view.knot_utility(lam)) == expected
+        assert _hex(view.knot_utility(lam)) == expected  # from the memo at a knot
+    assert set(view.masses) == {True, False}
+    for positive, (rows, below) in view.masses.items():
+        assert not rows.flags.writeable and not below.flags.writeable
+        assert rows.flags.c_contiguous and below.flags.c_contiguous
+        assert _hex(rows) == _hex((view.probs if positive else view.probs[:, ::-1]).T)
+
+
+def test_no_prefix_sum_is_taken_per_strength_once_a_views_masses_exist(monkeypatch):
+    ds = _dirichlet_dataset(7, 10, docs=5, max_label=4)
+    view = _UtilityEngine(MetricSpec("dcg", 5, "exponential"), ds, ds.queries())
+    knots = view.knots
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+    strengths = [0.25, -0.25, 0.5, -0.7, float(knots[5]), float(knots[-5]), _LAM_EDGE, 0.0]
+    view.per_query_utility(0.0)
+    assert calls == []  # lam = 0 reads the predicted utilities
+    view.per_query_utility(0.1)
+    view.per_query_utility(0.2)
+    assert len(calls) == 1  # one sign's masses, built once
+    for lam in strengths:
+        view.per_query_utility(lam)
+        view.knot_utility(lam)
+    assert len(calls) == 2  # and the other sign's
+    calls.clear()
+    for lam in strengths:
+        view.per_query_utility(lam)
+        view.knot_utility(-lam)
+    assert calls == []
+    with pytest.raises(ValueError):
+        view.masses[False][1][0, 0] = 1.0  # read-only, since threads share views
+
+
 def test_subset_and_with_probs_start_without_the_views_caches():
     ds = _dirichlet_dataset(5, 12, docs=4)
     spec = MetricSpec("dcg", 4, "exponential")
@@ -375,6 +454,8 @@ def test_subset_and_with_probs_start_without_the_views_caches():
     for lam in probe:
         view.knot_utility(lam)
     assert len(view.memo) == 3
+    masses = dict(view.masses)
+    assert set(masses) == {True, False}
     flipped = view.with_probs(view.probs[:, ::-1].copy())
     picked = view.subset(ds.queries()[::-2])
     for out in (flipped, picked):
@@ -383,8 +464,10 @@ def test_subset_and_with_probs_start_without_the_views_caches():
         for lam in [*probe, 0.3, -0.3]:
             expected = _hex(out._per_query(left_sum(_perturb_rows(out.probs, lam) * out.gains)))
             assert _hex(out.knot_utility(lam)) == expected
-    # The original keeps its own memo, untouched by the copies.
+        assert _hex(out.masses[False][0]) == _hex(out.probs[:, ::-1].T)
+    # The original keeps its own memo and masses, untouched by the copies.
     assert set(view.memo) == set(probe)
+    assert all(view.masses[k] is masses[k] for k in masses)
 
 
 def _recorded_views(monkeypatch):
@@ -474,3 +557,4 @@ def test_interval_views_build_neither_knots_nor_memo(monkeypatch, tmp_path, caps
     assert 0 < seen[0] < seen[1] < seen[2] < seen[3]
     for view in views:
         assert not {"memo", "knots"} & vars(view).keys()
+        assert view.masses  # built for the nonzero bound(s)

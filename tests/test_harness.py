@@ -533,7 +533,7 @@ def _plan_file(text, tmp_path):
     """The plan that ``rankci-harness`` runs from a plan file holding ``text``."""
     path = tmp_path / "plan.txt"
     path.write_text(text, encoding="utf-8")
-    args = cli.build_parser("rankci-harness").parse_args(["sweep", str(path)])
+    args = cli.build_parser("rankci-harness").parse_args([str(path)])
     return cli._sweep_plan(args)[1]
 
 
