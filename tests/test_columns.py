@@ -172,11 +172,14 @@ def test_sweep_rows_do_not_depend_on_workers(n_grid, beta_grid, tau_grid, method
 def test_generated_columns_equal_the_columns_built_from_the_dicts():
     ds = _small(queries=13, docs=7)
     built = Dataset(ds.scale, dict(ds.rankings), dict(ds.truth), dict(ds.predicted))
+    # The generated tables re-wrapped: a new order over the same shared index.
+    shared = Dataset(ds.scale, ds.rankings, ds.truth, ds.predicted)
     assert ds.truth.rows is ds.predicted.rows  # one index for both tables
-    assert built.order is not ds.order
-    for name in ("rows", "labels", "starts"):
-        assert np.array_equal(getattr(built.order, name), getattr(ds.order, name))
-    assert built.order.query_ids == ds.order.query_ids == ds.queries()
+    for rebuilt in (built, shared):
+        assert rebuilt.order is not ds.order
+        for name in ("rows", "labels", "starts"):
+            assert np.array_equal(getattr(rebuilt.order, name), getattr(ds.order, name))
+        assert rebuilt.order.query_ids == ds.order.query_ids == ds.queries()
     assert np.array_equal(built.predicted.probs, ds.predicted.probs)
 
 
@@ -219,8 +222,10 @@ def test_an_empty_ranking_counts_as_labeled_wherever_it_sits():
 
 
 def _order_labels_reference(ds):
+    # Through the truth's Mapping interface, not LabelTable.at: RankOrder.of
+    # calls that, so the property would compare it with itself.
     keys = [(q, d) for q in sorted(ds.rankings) for d in ds.rankings[q].doc_ids]
-    return ds.truth.at(keys)
+    return np.array([ds.truth[k].label if k in ds.truth else -1 for k in keys], np.intp)
 
 
 @PROPERTY
@@ -250,3 +255,12 @@ def test_rank_order_labels_cover_every_kind_of_pair():
     synthetic = _small(queries=9, docs=5)
     assert synthetic.truth.rows is synthetic.predicted.rows
     assert synthetic.order.labels.tolist() == _order_labels_reference(synthetic).tolist()
+
+
+def test_rank_order_labels_a_few_ranked_pairs_over_a_large_truth():
+    truth = LabelTable.of({(f"q{i}", f"d{j}"): Judgment((i + j) % 3)
+                           for i in range(200) for j in range(50)})
+    ds = Dataset(LabelScale(2), {"q7": RankedList("q7", ("d3", "d49", "dX", "d0"))}, truth,
+                 {("q7", "d3"): RelevanceDistribution((0.2, 0.3, 0.5))})
+    assert ds.order.rows.tolist() == [0, -1, -1, -1]
+    assert ds.order.labels.tolist() == _order_labels_reference(ds).tolist() == [1, 2, -1, 1]

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankci import model
 from rankci.errors import EmptyQuerySetError, MissingDistributionError, UnlabeledQueryError
+from rankci.harness import default_plan
 from rankci.metrics import (
     MetricSpec,
     UtilityView,
@@ -23,6 +25,7 @@ from rankci.metrics import (
     true_utilities,
 )
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
+from rankci.synth import generate
 
 
 # --- parsing ---------------------------------------------------------------
@@ -262,6 +265,25 @@ def test_one_query_helpers_read_only_the_rankings_own_pairs():
     # A pair of another query that is not a judgment at all is never read.
     truth = {**ds.truth, ("q9", "x"): "not a judgment"}
     assert query_utility_true(spec, ds.rankings["q1"], truth) == expected
+
+
+def test_true_utility_of_one_query_looks_up_only_its_ranked_pairs(monkeypatch):
+    """A one-query utility over the desk truth (20,000 judged pairs) asks
+    each table for at most its 10 ranked pairs."""
+    desk = generate(default_plan().synth)
+    ranking = desk.rankings[desk.queries()[0]]
+    asked = {}
+    row_of = model._PairTable.row_of
+
+    def counting(table, keys):
+        asked[id(table)] = asked.get(id(table), 0) + len(keys)
+        return row_of(table, keys)
+
+    monkeypatch.setattr(model._PairTable, "row_of", counting)
+    spec = parse_metric("dcg@10")
+    assert len(desk.truth) == 20_000 and len(ranking) >= spec.cutoff_k
+    query_utility_true(spec, ranking, desk.truth)
+    assert asked and max(asked.values()) <= spec.cutoff_k
 
 
 def test_view_without_predictions_reads_truth_only():
