@@ -65,21 +65,24 @@ def bootstrap_ci(
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    lower, upper = _percentile_bounds(arr, alpha, chunks)
+    lower, upper = _percentile_bounds(_resample_means(arr, chunks), alpha)
     return CiReport(method="bootstrap", estimate=est.mean, lower=lower, upper=upper, alpha=alpha,
                     diagnostics={"variance": est.variance, "n": float(est.n),
                                  "resamples": float(resamples)})
 
 
-def _percentile_bounds(arr: np.ndarray, alpha: float,
-                       blocks: Iterable[np.ndarray]) -> tuple[float, float]:
-    """:func:`bootstrap_ci`'s ``(lower, upper)`` over the index rows of ``blocks``,
-    positions into ``arr``, with no input checks.
+def _resample_means(arr: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The mean of ``arr`` over each index row of ``blocks``, positions into ``arr``."""
+    return np.concatenate([arr[index].mean(axis=1) for index in blocks])
+
+
+def _percentile_bounds(means: np.ndarray, alpha: float) -> tuple[float, float]:
+    """:func:`bootstrap_ci`'s ``(lower, upper)`` from the resampled ``means``, which it
+    reorders in place, with no input checks.
 
     The bits of ``np.percentile(means, ..., method="linear")`` from one partition: the
     means ``a`` and ``b`` either side of position ``(M - 1) * p / 100`` (both the largest
     at or past the end, where numpy weighs by the position + 1), and numpy's lerp."""
-    means = np.concatenate([arr[index].mean(axis=1) for index in blocks])
     last = means.size - 1
     pos = [last * (p / 100) for p in (100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0))]
     prev = [int(x) if x < last else -1 for x in pos]  # floor: positions are >= 0

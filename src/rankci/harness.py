@@ -23,10 +23,15 @@ rows and leave each method's guarantee as it was.  ppi computes each (beta, tau)
 pool mean and variance once and gathers every point's labeled predictions once per
 (n, repeat); each stack is reduced C-contiguous, all rows in one call, which keeps
 the bits of ``ppi_ci(ppi_estimate(...))``.  Each (n, repeat) is a unit of work drawn
-from its own seed-derived stream.  With ``workers`` > 1 the units are dealt round-robin
-into ``min(workers, units)`` chunks, one per worker thread (no thread runs for one
-worker), and rows are sorted after, so the output is byte-identical for any worker
-count.  Each row is a read-only :class:`SweepRow` mapping.
+from its own seed-derived streams, in three phases.  The calling thread opens every
+unit's seed streams: it draws the labeled positions and derives the resample seed.
+Worker threads then run the resample kernels, one unit at a time: one M x n index draw
+from that seed, reduced to the two bootstrap bounds, and each (beta, tau)'s crc
+calibration and bounds.  The units are dealt
+round-robin into ``min(workers, units)`` chunks, one per thread (for one worker, inline
+and with no thread), and a unit's index and means die with it.  Last, the calling thread
+computes the ppi bounds and builds and sorts the rows, so the output is byte-identical
+for any worker count.  Each row is a read-only :class:`SweepRow` mapping.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -49,7 +54,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bootstrap import _percentile_bounds, bootstrap_ci
+from .bootstrap import _percentile_bounds, _resample_means, bootstrap_ci
 # The sweep works on views, resample indices and utility stacks, and run_plan takes a loaded
 # dataset: build_dataset, bootstrap_ci, calibrate, crc_ci, ppi_estimate, ppi_ci,
 # true_utilities, predicted_utilities, bias_dataset, oracle_dataset and generate are not
@@ -214,6 +219,8 @@ def sweep(
     of it; the one bootstrap interval is emitted for every (beta, tau), and
     a value repeated in a grid is swept once.  Coverage is judged against
     the test half's true utility.
+    Seed streams, ppi and rows run on the calling thread, and only each unit's
+    resample draw, bootstrap bounds and crc calibrations on the ``workers`` threads.
     Deterministic for a given seed, independent of ``workers``.
     Options no sweep can run with raise ``ValueError`` before any work.
     """
@@ -238,52 +245,61 @@ def sweep(
     preds.flags.writeable = False
     ppi_pool = _ppi_pool(preds, alpha) if "ppi" in methods else None
 
-    def one_repeat(n_idx: int, repeat: int) -> list[SweepRow]:
-        n = n_grid[n_idx]
-        if n > len(validation):
-            status = f"error: n={n} exceeds validation half size {len(validation)}"
-            return [SweepRow(method, n, beta, tau, repeat, "", "", "", truth_target, status)
-                    for beta, tau in grid for method in methods]
-        rng = stream(seed, n_idx, repeat, 0)
-        pos = np.sort(rng.choice(val_pos, size=n, replace=False))
-        labeled, labeled_true = [pool[i] for i in pos.tolist()], true_pool[pos]
-        if "bootstrap" in methods or "crc" in methods:  # their one resample index
-            batches = build_batches(labeled, num_batches=num_batches, batch_size=n,
-                                    seed=child_seed(seed, n_idx, repeat, 1))
-        if "bootstrap" in methods:
-            boot = _percentile_bounds(labeled_true, alpha, [batches.index])
-        if "ppi" in methods:  # one gather of every (beta, tau)'s labeled errors
-            lows, highs = (b.tolist() for b in _ppi_bounds(labeled_true - preds[:, pos], ppi_pool))
-        rows = []
-        for g, (beta, tau) in enumerate(grid):
-            for method in methods:
-                status, low, high, covered = "ok", "", "", ""
-                try:
-                    if method == "crc":
-                        low, high = _crc_bounds(halves[g][1], _calibrate(batches, halves[g][0], alpha))
-                    else:
-                        low, high = (lows[g], highs[g]) if method == "ppi" else boot
-                    covered = int(low <= truth_target <= high)
-                except CalibrationInfeasibleError as e:
-                    status = f"calibration-infeasible: {e}"
-                rows.append(SweepRow(method, n, beta, tau, repeat, covered, low, high, truth_target, status))
-        return rows
+    resampled = "bootstrap" in methods or "crc" in methods
 
-    def run_chunk(chunk: list[tuple[int, int]]) -> list[SweepRow]:
-        return [row for task in chunk for row in one_repeat(*task)]
+    def draw(n_idx: int, repeat: int) -> tuple:  # phase A: labeled positions and resample seed
+        if n_grid[n_idx] > len(validation):
+            return None, None
+        pos = np.sort(stream(seed, n_idx, repeat, 0).choice(val_pos, size=n_grid[n_idx], replace=False))
+        return pos, child_seed(seed, n_idx, repeat, 1) if resampled else None
+
+    def resample(pos, resample_seed) -> tuple:  # phase B: the bootstrap and crc bounds of one draw
+        if resample_seed is None:
+            return None, None
+        batches = build_batches([pool[i] for i in pos.tolist()], num_batches=num_batches,
+                                batch_size=len(pos), seed=resample_seed)
+        boot = (_percentile_bounds(_resample_means(true_pool[pos], [batches.index]), alpha)
+                if "bootstrap" in methods else None)
+        crcs = []
+        for val_half, test_half in halves if "crc" in methods else ():
+            try:
+                crcs.append(_crc_bounds(test_half, _calibrate(batches, val_half, alpha)))
+            except CalibrationInfeasibleError as e:
+                crcs.append(f"calibration-infeasible: {e}")
+        return boot, crcs
+
+    def run_chunk(chunk: list[tuple[int, int]]) -> list[tuple]:
+        return [resample(*units[task]) for task in chunk]
 
     # One interleaved chunk per thread: each holds every k-th unit, so the budgets mix evenly.
     tasks = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
+    units = {task: draw(*task) for task in tasks}
     k = min(workers, len(tasks))
     if k > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays its import
         with ThreadPoolExecutor(max_workers=k) as pool_exec:
-            chunks = list(pool_exec.map(run_chunk, [tasks[i::k] for i in range(k)]))
+            outcomes = list(pool_exec.map(run_chunk, [tasks[i::k] for i in range(k)]))
     else:
-        chunks = [run_chunk(tasks)]
+        outcomes = [run_chunk(tasks)]
 
-    return sorted((row for chunk in chunks for row in chunk),
-                  key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
+    rows = []  # phase C: ppi, from one gather of every (beta, tau)'s labeled errors, and the rows
+    for i, chunk in enumerate(outcomes):
+        for (n_idx, repeat), (boot, crcs) in zip(tasks[i::k], chunk):
+            n, pos = n_grid[n_idx], units[n_idx, repeat][0]
+            error = f"error: n={n} exceeds validation half size {len(validation)}" if pos is None else None
+            if "ppi" in methods and pos is not None:
+                ppis = list(zip(*(b.tolist() for b in _ppi_bounds(true_pool[pos] - preds[:, pos], ppi_pool))))
+            for g, (beta, tau) in enumerate(grid):
+                for method in methods:
+                    out = error or (boot if method == "bootstrap" else ppis[g] if method == "ppi" else crcs[g])
+                    if isinstance(out, str):
+                        rows.append(SweepRow(method, n, beta, tau, repeat, "", "", "", truth_target, out))
+                    else:
+                        covered = int(out[0] <= truth_target <= out[1])
+                        rows.append(SweepRow(method, n, beta, tau, repeat, covered, *out, truth_target,
+                                             "ok"))
+
+    return sorted(rows, key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
 
 
 def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[SweepRow]:

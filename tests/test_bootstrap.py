@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankci import bootstrap as bootstrap_module
-from rankci.bootstrap import _percentile_bounds, bootstrap_ci, empirical_estimate
+from rankci.bootstrap import _percentile_bounds, _resample_means, bootstrap_ci, empirical_estimate
 from rankci.errors import InsufficientDataError
 from rankci.seeding import stream
 
@@ -120,7 +120,8 @@ def test_percentile_bounds_equal_bootstrap_ci_in_hex(n, resamples, alpha, seed, 
     blocks = [rng.integers(0, n, size=(min(rows, resamples - start), n))
               for start in range(0, resamples, rows)]
     ci = bootstrap_ci(values, alpha, resamples=resamples, seed=seed)
-    assert [x.hex() for x in _percentile_bounds(values, alpha, blocks)] == [ci.lower.hex(), ci.upper.hex()]
+    bounds = _percentile_bounds(_resample_means(values, blocks), alpha)
+    assert [x.hex() for x in bounds] == [ci.lower.hex(), ci.upper.hex()]
 
 
 @st.composite
@@ -165,7 +166,8 @@ def test_percentile_bounds_equal_numpy_percentile_in_hex(case, n, ties, seed):
         index = stream(seed).integers(0, n, size=(resamples, n))
     values = np.round(values) if ties else values
     expected = np.percentile(values[index].mean(axis=1), p, method="linear")
-    assert [x.hex() for x in _percentile_bounds(values, alpha, [index])] == [x.hex() for x in expected]
+    bounds = _percentile_bounds(_resample_means(values, [index]), alpha)
+    assert [x.hex() for x in bounds] == [x.hex() for x in expected]
 
 
 def test_bootstrap_ci_memory_stays_far_below_the_dense_index_matrix():

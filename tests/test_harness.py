@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import pickle
+import threading
 import tracemalloc
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -168,6 +169,44 @@ def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch
             (k, [units[i::k] for i in range(k)]) for k in threads if k > 1]
         assert all(chunk for e in executors for chunk in e.chunks)
         executors.clear()
+
+
+def test_sweep_threads_run_only_the_resample_kernels(monkeypatch):
+    """Every seed stream the sweep opens and every row it builds run on the thread
+    that called it; the worker threads draw and reduce each unit's resamples."""
+    calls = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("stream", "child_seed", "SweepRow", "build_batches"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+    rows = _tiny_sweep(_dataset(), workers=3, beta_grid=(0.0, 1.0), tau_grid=(0.0, 0.5), alpha=0.2)
+    on = {name: {t for n, t in calls if n == name} for name, _ in calls}
+    assert on["stream"] == on["child_seed"] == on["SweepRow"] == {threading.get_ident()}
+    assert sum(name == "SweepRow" for name, _ in calls) == len(rows) == 3 * 4 * 2 * 3
+    assert threading.get_ident() not in on["build_batches"]  # the threads did run
+
+
+def test_a_long_one_budget_sweep_holds_no_index_or_means_across_units():
+    """A unit's M x n resample index and its M means die with the unit, so a
+    400-repeat bootstrap sweep peaks near one unit's index (2,000 x 40 entries,
+    625 KiB).  The bound is 3 indices; before the sweep ran in phases it peaked at
+    2.26 (1,411 KiB), and holding every unit's means alone would add 10 more."""
+    ds, index_bytes = _dataset(queries=88), 2000 * 40 * np.dtype(np.intp).itemsize
+    kwargs = dict(n_grid=(40,), methods=("bootstrap",), num_batches=2000)
+    sweep(ds, DCG, repeats=2, **kwargs)
+    tracemalloc.start()
+    try:
+        rows = sweep(ds, DCG, repeats=400, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 400
+    assert peak < 3 * index_bytes
 
 
 def test_sweep_methods_subset():
