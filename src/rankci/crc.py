@@ -205,13 +205,19 @@ class CalibrationBatches:
     """Calibration batches of equal length, stored as a sorted query pool and
     a read-only M x b index matrix: row i holds the pool positions of batch
     i's ids in draw order.  Iterates as query-id tuples.  Without an explicit
-    index, it is the rows of ``stream(seed).integers(0, len(pool), size=shape)``."""
+    index, it is the rows of ``stream(seed).integers(0, len(pool), size=shape)``;
+    an explicit one must be 2-D with every entry in ``range(len(pool))``."""
 
     def __init__(self, pool: Sequence[str], index: np.ndarray | None = None, *,
                  seed: int = 0, shape: tuple[int, int] = (0, 0)):
         self.pool, self.seed, self.shape, self._index = tuple(pool), seed, shape, None
         if index is not None:
             self._index = np.asarray(index, dtype=np.intp).view()  # the caller's array stays writeable
+            bad = np.argwhere((self._index < 0) | (self._index >= len(self.pool)))[:1]
+            if self._index.ndim != 2 or bad.size:
+                at = f", entry {tuple(bad[0].tolist())} is {self._index[tuple(bad[0])]}" if bad.size else ""
+                raise ValueError(f"a batch index must be 2-D with entries in range({len(self.pool)}); "
+                                 f"got a {self._index.ndim}-D one{at}")
             self._index.setflags(write=False)
             self.shape = self._index.shape
 
@@ -344,8 +350,10 @@ class CrcCalibration:
         try:
             raw = {k: v for k, v in json.loads(text).items() if v is not None}
             floats = ("lambda_low", "lambda_high", "alpha", "achieved_loss_low", "achieved_loss_high")
-            return cls(**{k: float(raw[k]) for k in floats}, num_batches=int(raw["num_batches"]),
-                       metric=str(raw["metric"]), max_label=int(raw["max_label"]))
+            fields = {k: raw[k] for k in (*floats, "num_batches", "metric", "max_label")}
+            if bad := [k for k in ("num_batches", "max_label") if type(fields[k]) is not int]:
+                raise TypeError(f"{bad[0]} must be an integer, got {json.dumps(fields[bad[0]])}")
+            return cls(**fields | {k: float(fields[k]) for k in floats} | {"metric": str(fields["metric"])})
         except KeyError as e:
             raise ValueError(f"malformed calibration record: {e} is missing or null") from None
         except (AttributeError, TypeError) as e:

@@ -3,10 +3,10 @@ rankings, datasets, splits, and the interval report shared by all estimators.
 
 Design notes
 ------------
-* Every type is a frozen dataclass or a read-only table: construct once,
-  never mutate.  ``Dataset.truth`` is always a :class:`LabelTable` (one
-  integer column) and ``Dataset.predicted`` a :class:`DistTable` (one float
-  matrix); :class:`RankOrder` lists their rows in rank order.
+* Every type is a frozen dataclass or a read-only table: construct once, never
+  mutate.  ``Dataset.truth`` is always a :class:`LabelTable` (one integer
+  column) and ``Dataset.predicted`` a :class:`DistTable` (one float matrix);
+  ``Dataset.order``, their :class:`RankOrder`, is derived on first use.
 * Truth is a single integer label per (query, document) pair.  A pair with no
   entry in ``Dataset.truth`` is simply unjudged, and a query counts as
   *labeled* only when every ranked document under it is judged.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 
 import numpy as np
@@ -163,9 +164,7 @@ class Judgment:
 
 class LabelTable(_PairTable):
     """A read-only mapping (query_id, doc_id) -> :class:`Judgment` held as the
-    integer column ``labels[R]``; a lookup builds the judgment on demand.
-    Where the judged pairs are the pairs of a :class:`DistTable`, both tables
-    share one ``rows``."""
+    integer column ``labels[R]``; a lookup builds the judgment on demand."""
 
     __slots__ = ("labels",)
 
@@ -181,7 +180,7 @@ class LabelTable(_PairTable):
 
     def at(self, keys: Collection[tuple[str, str]]) -> np.ndarray:
         """The labels of ``keys``, -1 where unjudged."""
-        return self.labels if keys is self.rows else np.append(self.labels, -1)[self.row_of(keys)]
+        return np.append(self.labels, -1)[self.row_of(keys)]
 
     def __getitem__(self, key: tuple[str, str]) -> Judgment:
         return Judgment(int(self.labels[self.rows[key]]))
@@ -205,20 +204,17 @@ class RankedList:
 
 
 class RankOrder:
-    """The ranked pairs of a dataset, for the queries in sorted order
-    (``query_ids``, with ``where[q]`` the index of ``q``) and each query's
-    documents in rank order: query ``i`` owns positions
-    ``starts[i]:starts[i+1]``, and position ``p`` is the pair's row of the
-    predicted table ``rows[p]`` (-1 without one) with true label
-    ``labels[p]`` (-1 where unjudged).  ``source`` holds the rankings, truth
-    and predicted index it was built from."""
+    """The ranked pairs of a dataset, for the queries in sorted order (``query_ids``,
+    with ``where[q]`` the index of ``q``) and each query's documents in rank order:
+    query ``i`` owns positions ``starts[i]:starts[i+1]``, and position ``p`` is the
+    pair's row of the predicted table ``rows[p]`` (-1 without one) with true label
+    ``labels[p]`` (-1 where unjudged).  :meth:`of` builds it from a dataset's fields."""
 
-    __slots__ = ("query_ids", "where", "rows", "labels", "starts", "source")
+    __slots__ = ("query_ids", "where", "rows", "labels", "starts")
 
-    def __init__(self, query_ids: list[str], rows: np.ndarray, labels: np.ndarray,
-                 starts: np.ndarray, source: tuple):
+    def __init__(self, query_ids: list[str], rows: np.ndarray, labels: np.ndarray, starts: np.ndarray):
         self.query_ids, self.where = query_ids, {q: i for i, q in enumerate(query_ids)}
-        self.rows, self.labels, self.starts, self.source = rows, labels, starts, source
+        self.rows, self.labels, self.starts = rows, labels, starts
 
     @classmethod
     def of(cls, rankings: dict[str, RankedList], truth: LabelTable, predicted: DistTable) -> RankOrder:
@@ -226,7 +222,7 @@ class RankOrder:
         keys = [(q, d) for q in qids for d in rankings[q].doc_ids]
         rows, labels = predicted.row_of(keys), truth.at(keys)
         starts = np.cumsum([0, *(len(rankings[q]) for q in qids)], dtype=np.intp)
-        return cls(qids, rows, labels, starts, (rankings, truth, predicted.rows))
+        return cls(qids, rows, labels, starts)
 
 
 @dataclass(frozen=True)
@@ -247,25 +243,24 @@ class Dataset:
         (query_id, doc_id) -> :class:`RelevanceDistribution` as a
         :class:`DistTable` (a plain mapping is converted once).  Expected to
         cover every ranked document (checked by :func:`validate_dataset`).
-    order:
-        The :class:`RankOrder` of the fields above, built once (a dataset with
-        new probs on the same rows keeps it).
+
+    ``order``, their :class:`RankOrder`, is derived on first use (never passed in).
     """
 
     scale: LabelScale
     rankings: dict[str, RankedList] = field(default_factory=dict)
     truth: Mapping[tuple[str, str], Judgment] = field(default_factory=dict)
     predicted: Mapping[tuple[str, str], RelevanceDistribution] = field(default_factory=dict)
-    order: RankOrder | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.predicted, DistTable):
             object.__setattr__(self, "predicted", DistTable.of(self.predicted, self.scale.num_labels))
         if not isinstance(self.truth, LabelTable):
             object.__setattr__(self, "truth", LabelTable.of(self.truth))
-        sources = (self.rankings, self.truth, self.predicted.rows)
-        if self.order is None or any(a is not b for a, b in zip(self.order.source, sources)):
-            object.__setattr__(self, "order", RankOrder.of(self.rankings, self.truth, self.predicted))
+
+    @cached_property
+    def order(self) -> RankOrder:
+        return RankOrder.of(self.rankings, self.truth, self.predicted)
 
     def queries(self) -> list[str]:
         """All query ids, sorted."""

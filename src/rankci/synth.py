@@ -5,7 +5,8 @@ come from a distance-decay kernel around the true label: mass proportional
 to sharpness**(-|r - r_true|).  Sharpness 1 is an uninformative annotator
 (uniform), larger is sharper, and infinity is the one-hot limit.  Rankings
 order documents by true label plus unit Gaussian noise, so better documents
-tend to sit higher — like a real retrieval run.
+tend to sit higher — like a real retrieval run.  Both tables share one ``rows``
+index; the rank order, as for any dataset, is derived on first use.
 
 Two transforms distort or improve predictions after the fact.  Both are
 array operations over the last axis of a stack of distributions;
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import UnlabeledQueryError
 from .metrics import left_sum
-from .model import Dataset, DistTable, LabelScale, LabelTable, RankedList, RankOrder
+from .model import Dataset, DistTable, LabelScale, LabelTable, RankedList
 from .seeding import stream
 
 
@@ -84,7 +85,7 @@ def generate(config: SynthConfig) -> Dataset:
     n, per_query, num_labels = config.num_queries, config.docs_per_query, config.scale.num_labels
     rankings: dict[str, RankedList] = {}
     rows: dict[tuple[str, str], int] = {}
-    drawn, orders = [], []
+    drawn = []
     # Every document with true label r gets kernel row r and judgment r.
     kernels = np.array([_kernel(config.scale, r, config.annotator_sharpness) for r in range(num_labels)])
     doc_ids = [f"d{j:04d}" for j in range(per_query)]
@@ -99,15 +100,10 @@ def generate(config: SynthConfig) -> Dataset:
         rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(doc_ids[j] for j in order))
         rows.update(zip([(qid, doc) for doc in doc_ids], range(qi * per_query, (qi + 1) * per_query)))
         drawn.append(labels)
-        orders.append(order)
 
     drawn = np.array(drawn, dtype=np.intp).reshape(-1)
-    ranked = (np.array(orders, dtype=np.intp).reshape(n, per_query)
-              + per_query * np.arange(n)[:, None]).reshape(-1)
-    truth, predicted = LabelTable(rows, drawn), DistTable(rows, kernels[drawn])
-    order = RankOrder(list(rankings), ranked, drawn[ranked],
-                      per_query * np.arange(n + 1, dtype=np.intp), (rankings, truth, rows))
-    return Dataset(scale=config.scale, rankings=rankings, truth=truth, predicted=predicted, order=order)
+    return Dataset(scale=config.scale, rankings=rankings, truth=LabelTable(rows, drawn),
+                   predicted=DistTable(rows, kernels[drawn]))
 
 
 def bias_probs(probs: np.ndarray, beta: float) -> np.ndarray:
@@ -165,7 +161,7 @@ def oracle_dataset(dataset: Dataset, tau: float) -> Dataset:
     if tau == 0.0:
         return dataset
     table = dataset.predicted
-    labels = dataset.truth.at(table.rows)  # the label column itself when the index is shared
+    labels = dataset.truth.at(table.rows)
     unjudged = np.flatnonzero(labels < 0)
     if unjudged.size:
         key = next(islice(table.rows, int(unjudged[0]), None))

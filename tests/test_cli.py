@@ -449,6 +449,24 @@ def test_ci_corrupt_calibration_record(labeled_corpus, tmp_path, capsys):
     assert "format error" in err and str(cal_path) in err
 
 
+@pytest.mark.parametrize("key, value", [("max_label", 2.9), ("num_batches", 200.5),
+                                        ("num_batches", True)])
+def test_ci_calibration_record_with_a_non_integer_count_is_a_format_error(
+        labeled_corpus, tmp_path, capsys, key, value):
+    # Truncated to an integer, max_label 2.9 would pass as a record for this 0-2 scale.
+    cal_path = tmp_path / "cal.json"
+    code, _, _ = _run_main(["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+                            "--dists", labeled_corpus["dists"], "--method", "crc", "--batches", "200",
+                            "--save-calibration", str(cal_path)], capsys)
+    assert code == 0
+    raw = json.loads(cal_path.read_text(encoding="utf-8"))
+    raw[key] = value
+    cal_path.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = _load_calibration(labeled_corpus, cal_path, capsys)
+    assert code == 2
+    assert "format error" in err and str(cal_path) in err and f"{key} must be an integer" in err
+
+
 def test_ci_calibration_file_that_is_not_json_is_a_format_error(labeled_corpus, tmp_path, capsys):
     cal_path = tmp_path / "cal.json"
     cal_path.write_text("not json", encoding="utf-8")

@@ -183,11 +183,8 @@ def test_generated_columns_equal_the_columns_built_from_the_dicts():
     assert np.array_equal(built.predicted.probs, ds.predicted.probs)
 
 
-def test_new_probs_keep_the_rank_order_and_other_fields_rebuild_it():
+def test_new_rankings_or_truth_rebuild_the_rank_order():
     ds = _small()
-    assert bias_dataset(ds, 0.4).order is ds.order
-    assert oracle_dataset(ds, 0.6).order is ds.order
-    assert dataclasses.replace(ds, predicted=ds.predicted.with_probs(ds.predicted.probs)).order is ds.order
     first = ds.queries()[0]
     rankings = {**ds.rankings, first: RankedList(first, ds.rankings[first].doc_ids[::-1])}
     moved = dataclasses.replace(ds, rankings=rankings)
@@ -199,6 +196,43 @@ def test_new_probs_keep_the_rank_order_and_other_fields_rebuild_it():
     assert dataclasses.replace(ds, truth=truth).labeled_queries() == ds.queries()[1:]
 
 
+def test_a_dataset_derives_its_rank_order_once_on_first_use(monkeypatch):
+    calls, of = [], RankOrder.of.__func__
+    monkeypatch.setattr(RankOrder, "of", classmethod(lambda cls, *a: calls.append(a) or of(cls, *a)))
+    made = (_small(), Dataset(LabelScale(1), {"q": RankedList("q", ("a", "b"))},
+                              {("q", "a"): Judgment(1), ("q", "b"): Judgment(0)}))
+    assert calls == []
+    for ds in made:
+        copy = dataclasses.replace(ds)
+        assert calls == []
+        for _ in range(2):
+            assert ds.order is ds.order
+            assert ds.queries() and ds.labeled_queries() == ds.queries()
+        assert calls == [(ds.rankings, ds.truth, ds.predicted)]
+        assert copy.order is not ds.order and len(calls) == 2
+        calls.clear()
+
+
+def test_a_replaced_field_gives_the_rank_order_of_the_new_fields():
+    ds = _small(queries=7, docs=5)
+    assert ds.order.query_ids  # built before the replaces, which must not carry it over
+    first, last = ds.queries()[0], ds.queries()[-1]
+    rankings = {**ds.rankings, first: RankedList(first, ds.rankings[first].doc_ids[:2][::-1])}
+    del rankings[last]
+    truth = {k: v for k, v in ds.truth.items() if k[1] != "d0001"}
+    predicted = {k: v for k, v in ds.predicted.items() if k[0] != first}
+    for new in (dataclasses.replace(ds, rankings=rankings), dataclasses.replace(ds, truth=truth),
+                dataclasses.replace(ds, predicted=predicted), bias_dataset(ds, 0.4),
+                oracle_dataset(ds, 0.6)):
+        want = RankOrder.of(new.rankings, new.truth, new.predicted)
+        assert new.order.query_ids == want.query_ids and new.order.where == want.where
+        for name in ("rows", "labels", "starts"):
+            assert np.array_equal(getattr(new.order, name), getattr(want, name))
+    assert dataclasses.replace(ds, rankings=rankings).queries() == ds.queries()[:-1]
+    assert -1 in dataclasses.replace(ds, truth=truth).order.labels
+    assert -1 in dataclasses.replace(ds, predicted=predicted).order.rows
+
+
 def test_a_label_table_reads_as_its_dict():
     truth = {("q", "b"): Judgment(2), ("q", "a"): Judgment(0), ("r", "a"): Judgment(1)}
     table = LabelTable.of(truth)
@@ -206,7 +240,7 @@ def test_a_label_table_reads_as_its_dict():
     assert ("q", "a") in table and ("q", "z") not in table
     assert table[("q", "b")] == Judgment(2) and table.get(("x", "y")) is None
     assert table.at([("r", "a"), ("q", "z"), ("q", "b")]).tolist() == [1, -1, 2]
-    assert table.at(table.rows) is table.labels
+    assert table.at(table.rows).tolist() == table.labels.tolist()
     with pytest.raises(ValueError):
         table.labels[0] = 3  # read-only
     assert isinstance(Dataset(LabelScale(2), truth=truth).truth, LabelTable)

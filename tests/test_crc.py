@@ -221,6 +221,23 @@ def test_batches_leave_the_callers_index_writeable():
         batches.index[0, 0] = 1
 
 
+@pytest.mark.parametrize("index, entry", [([[0, 1, 3], [0, 0, 0], [1, 1, 2]], r"\(0, 2\) is 3"),
+                                          ([[0, 1, 2], [2, -1, 0]], r"\(1, 1\) is -1")])
+def test_batches_refuse_an_index_entry_outside_the_pool(index, entry):
+    # An entry of len(pool) would spill into the next batch's draw counts, and
+    # -1 would read the last query on iteration but fail the counts.
+    with pytest.raises(ValueError, match=f"entries in range\\(3\\); got a 2-D one, entry {entry}"):
+        CalibrationBatches(["a", "b", "c"], np.array(index))
+    inside = np.clip(index, 0, 2)
+    assert list(CalibrationBatches(["a", "b", "c"], inside)) == [tuple("abc"[i] for i in row) for row in inside]
+
+
+@pytest.mark.parametrize("index", [[0, 1, 2], [[[0]]], 1])
+def test_batches_refuse_an_index_that_is_not_2d(index):
+    with pytest.raises(ValueError, match=f"must be 2-D .*; got a {np.ndim(index)}-D one"):
+        CalibrationBatches(["a", "b", "c"], index)
+
+
 def test_build_batches_validation():
     with pytest.raises(InsufficientDataError):
         build_batches([], mode="per_query")
@@ -441,6 +458,19 @@ def test_calibration_record_validates_itself():
 def test_calibration_record_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         CrcCalibration.from_text(text)
+
+
+@pytest.mark.parametrize("key, value", [("max_label", 3.9), ("max_label", 3.0), ("max_label", True),
+                                        ("num_batches", 2000.5), ("num_batches", True),
+                                        ("num_batches", "2000")])
+def test_calibration_record_refuses_a_count_that_is_not_a_json_integer(key, value):
+    raw = {"lambda_low": -0.5, "lambda_high": 0.5, "alpha": 0.05, "num_batches": 2000,
+           "achieved_loss_low": 0.0, "achieved_loss_high": 0.0, **STAMP}
+    assert CrcCalibration.from_text(json.dumps(raw)).max_label == 3
+    raw[key] = value
+    with pytest.raises(ValueError, match=f"malformed calibration record: {key} must be an integer, "
+                                         f"got {json.dumps(value)}"):
+        CrcCalibration.from_text(json.dumps(raw))
 
 
 @pytest.mark.parametrize("key", ["metric", "max_label"])
