@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crc import CalibrationBatches
 from .errors import InsufficientDataError
 from .model import CiReport
-from .seeding import index_blocks
-
-# Most resample indices drawn and gathered at once (8 MB of intp).
-_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,15 +48,15 @@ def bootstrap_ci(
 
     Draws ``resamples`` with-replacement samples of the original size, takes
     the mean of each, and reports the alpha/2 and 1 - alpha/2 percentiles of
-    those means.  All resample indices come from a single seeded stream, in
-    row chunks of at most :data:`_CHUNK_ENTRIES` indices (the same indices as
-    one block), so the result is bit-identical for a given seed regardless of
-    where or how often it is computed, and memory stays bounded for large n.
+    those means.  The resample index is crc's batch index over the same draws,
+    ``CalibrationBatches(range(n), seed=seed, shape=(resamples, n))``, read block
+    by block (the same indices as one draw), so the result is bit-identical for a
+    given seed wherever it is computed, and memory stays bounded for large n.
 
     Preconditions: at least 2 values, at least 100 resamples, alpha in (0, 1).
     """
     arr = np.asarray(list(values), dtype=float)
-    chunks = index_blocks(seed, arr.size, (resamples, arr.size), _CHUNK_ENTRIES)  # drawn when read
+    chunks = CalibrationBatches(range(arr.size), seed=seed, shape=(resamples, arr.size)).blocks()  # drawn when read
     est = empirical_estimate(arr)  # at least 2 values
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")

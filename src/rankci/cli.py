@@ -289,12 +289,10 @@ def cmd_ci(args) -> int:
                 raise ParseError(f"{o.load_calibration}: {e}") from None
             cal.check_applies(metric, dataset.scale)
         else:
-            if o.per_query:
-                batches = build_batches(labeled, mode="per_query")
-            else:
-                batches = build_batches(labeled, mode="bootstrap", num_batches=o.batches,
-                                        batch_size=o.batch_size, seed=o.seed)
-            cal = calibrate(metric, batches, dataset, o.alpha)
+            # The batches, and the draw counts they hold, are freed before the interval.
+            how = (dict(mode="per_query") if o.per_query else
+                   dict(mode="bootstrap", num_batches=o.batches, batch_size=o.batch_size, seed=o.seed))
+            cal = calibrate(metric, build_batches(labeled, **how), dataset, o.alpha)
         if o.save_calibration is not None:
             Path(o.save_calibration).write_text(cal.to_text() + "\n", encoding="utf-8")
         if o.per_query:

@@ -55,7 +55,7 @@ from .metrics import MetricSpec, UtilityView, expected_gain, format_metric
 # Unused here, but bench/tracing.py patches this name on this module.
 from .metrics import query_utility_true
 from .model import CiReport, Dataset, LabelScale, RelevanceDistribution, left_sum
-from .seeding import index_blocks, stream
+from .seeding import stream
 
 # Representable ends of the open strength interval (-1, 1).
 _LAM_EDGE = 1.0 - 1e-9
@@ -206,13 +206,15 @@ class CalibrationBatches:
     a read-only M x b index matrix: row i holds the pool positions of batch
     i's ids in draw order.  Iterates as query-id tuples.  Without an explicit
     index, it is the rows of ``stream(seed).integers(0, len(pool), size=shape)``;
-    an explicit one must be 2-D with every entry in ``range(len(pool))``."""
+    an explicit one must be 2-D with integer entries in ``range(len(pool))``."""
 
     def __init__(self, pool: Sequence[str], index: np.ndarray | None = None, *,
                  seed: int = 0, shape: tuple[int, int] = (0, 0)):
-        self.pool, self.seed, self.shape, self._index = tuple(pool), seed, shape, None
+        self.pool, self.seed, self.shape, self._index, self._means = tuple(pool), seed, shape, None, None
         if index is not None:
-            self._index = np.asarray(index, dtype=np.intp).view()  # the caller's array stays writeable
+            if (index := np.asarray(index)).size and index.dtype.kind not in "iu":
+                raise ValueError(f"a batch index must hold integers, got dtype {index.dtype}")
+            self._index = index.astype(np.intp, copy=False).view()  # the caller's array stays writeable
             bad = np.argwhere((self._index < 0) | (self._index >= len(self.pool)))[:1]
             if self._index.ndim != 2 or bad.size:
                 at = f", entry {tuple(bad[0].tolist())} is {self._index[tuple(bad[0])]}" if bad.size else ""
@@ -231,11 +233,52 @@ class CalibrationBatches:
 
     def blocks(self):
         """The index rows in blocks of at most :data:`_COUNT_BLOCK` entries (one
-        row at least): slices of ``index`` once it is held, else drawn."""
-        if self._index is None:
-            return index_blocks(self.seed, len(self.pool), self.shape, _COUNT_BLOCK)
-        rows = max(1, _COUNT_BLOCK // max(self.shape[1], 1))
-        return (self._index[start:start + rows] for start in range(0, len(self), rows))
+        row at least): slices of ``index`` once it is held, else drawn in turn from ``stream(seed)``."""
+        (m, b), step = self.shape, max(1, _COUNT_BLOCK // max(self.shape[1], 1))
+        if self._index is not None:
+            return (self._index[start:start + step] for start in range(0, m, step))
+        rng = stream(self.seed)
+        return (rng.integers(0, len(self.pool), size=(min(step, m - start), b)) for start in range(0, m, step))
+
+    @property
+    def means(self):
+        """The map from values of the pool, in pool order, to each batch's mean, built
+        on first read and held: every calibration on this batch set shares it.  Batches
+        at least as long as the pool make each call one product with an M x n_q matrix
+        of draw counts (one ``bincount`` per block); above :data:`_DENSE_COUNTS` entries
+        the counts take the smallest type that holds b and are turned to float64 in
+        blocks of a multiple of 64 rows, which BLAS sums as one product does (a one-row
+        tail, which numpy sums otherwise, joins the block before).  Shorter batches,
+        such as singletons, are summed column by column, in O(M * b) memory."""
+        if self._means is None:
+            self._means = self._count_means() if len(self.pool) <= self.shape[1] else self._column_means()
+        return self._means
+
+    def _count_means(self):
+        (m, b), n_queries = self.shape, len(self.pool)
+        compact, start = m * n_queries > _DENSE_COUNTS, 0
+        counts = np.empty((m, n_queries), np.min_scalar_type(b) if compact else float)
+        for block in self.blocks():
+            k = len(block)
+            cells = block + np.arange(0, k * n_queries, n_queries)[:, None]
+            counts[start:start + k] = np.bincount(cells.ravel(), minlength=k * n_queries).reshape(k, -1)
+            start += k
+        if not compact:
+            return lambda values: counts @ values / b
+        rows = 64 * max(1, _PRODUCT_ENTRIES // (64 * n_queries))
+        blocks = np.split(counts, range(rows, m - 1, rows))  # no one-row tail
+        return lambda values: np.concatenate([block.astype(float) @ values for block in blocks]) / b
+
+    def _column_means(self):
+        index, b = self.index, self.shape[1]
+
+        def means(values: np.ndarray) -> np.ndarray:
+            total = values[index[:, 0]]
+            for j in range(1, b):
+                total += values[index[:, j]]
+            return total / b
+
+        return means
 
     @classmethod
     def of(cls, batches: Iterable[Iterable[str]]) -> "CalibrationBatches":
@@ -297,12 +340,9 @@ def calibration_threshold(alpha: float, num_batches: int) -> float:
 
 
 def required_batches(alpha: float) -> int:
-    """Smallest batch count this module accepts: ceil((1 - alpha)/alpha) + 1.
-
-    At alpha = 0.05 this is 20; below it the risk threshold is non-positive
-    and calibration cannot succeed.
-    """
-    return math.ceil((1.0 - alpha) / alpha - 1e-9) + 1
+    """Smallest batch count M > (1 - alpha)/alpha, the first whose risk threshold
+    is positive (20 at alpha = 0.05, 14 at alpha = 0.07); calibration on fewer fails."""
+    return math.floor((1.0 - alpha) / alpha + 1e-9) + 1
 
 
 @dataclass(frozen=True)
@@ -350,13 +390,15 @@ class CrcCalibration:
         try:
             raw = {k: v for k, v in json.loads(text).items() if v is not None}
             floats = ("lambda_low", "lambda_high", "alpha", "achieved_loss_low", "achieved_loss_high")
-            fields = {k: raw[k] for k in (*floats, "num_batches", "metric", "max_label")}
-            if bad := [k for k in ("num_batches", "max_label") if type(fields[k]) is not int]:
-                raise TypeError(f"{bad[0]} must be an integer, got {json.dumps(fields[bad[0]])}")
-            return cls(**fields | {k: float(fields[k]) for k in floats} | {"metric": str(fields["metric"])})
+            kinds = dict.fromkeys(floats, ("a number", int, float)) | {
+                "num_batches": ("an integer", int), "metric": ("a string", str), "max_label": ("an integer", int)}
+            fields = {k: raw[k] for k in kinds}
+            if bad := [k for k, (_, *types) in kinds.items() if type(fields[k]) not in types]:
+                raise TypeError(f"{bad[0]} must be {kinds[bad[0]][0]}, got {json.dumps(fields[bad[0]])}")
+            return cls(**fields | {k: float(fields[k]) for k in floats})
         except KeyError as e:
             raise ValueError(f"malformed calibration record: {e} is missing or null") from None
-        except (AttributeError, TypeError) as e:
+        except (AttributeError, TypeError, OverflowError) as e:
             raise ValueError(f"malformed calibration record: {e}") from None
 
     def check_applies(self, spec: MetricSpec, scale: LabelScale) -> None:
@@ -409,40 +451,6 @@ def _smallest_strength(gap, knots: np.ndarray, allowed: int, bound: str) -> tupl
     if x <= knots[-1] and (at_x := int(np.count_nonzero(gap(x) < 0))) <= allowed:
         return x, at_x
     return b, int(np.count_nonzero(g_hi < 0))
-
-
-def _batch_means(batches: CalibrationBatches):
-    """The map from the values of the batches' pool, in pool order, to the
-    mean of each batch.  Batches at least as long as the pool make each call
-    one product with an M x n_q matrix of draw counts (one ``bincount`` per
-    block of rows); above :data:`_DENSE_COUNTS` entries the counts take the
-    smallest type that holds b and are turned to float64 in blocks of a
-    multiple of 64 rows, which BLAS sums as one product does (a one-row tail,
-    which numpy sums otherwise, joins the block before).  Shorter batches,
-    such as singletons, are summed column by column, in O(M * b) memory."""
-    (m, b), n_queries = batches.shape, len(batches.pool)
-    if n_queries <= b:
-        compact, start = m * n_queries > _DENSE_COUNTS, 0
-        counts = np.empty((m, n_queries), np.min_scalar_type(b) if compact else float)
-        for block in batches.blocks():
-            k = len(block)
-            cells = block + np.arange(0, k * n_queries, n_queries)[:, None]
-            counts[start:start + k] = np.bincount(cells.ravel(), minlength=k * n_queries).reshape(k, -1)
-            start += k
-        if not compact:
-            return lambda values: counts @ values / b
-        rows = 64 * max(1, _PRODUCT_ENTRIES // (64 * n_queries))
-        blocks = np.split(counts, range(rows, m - 1, rows))  # no one-row tail
-        return lambda values: np.concatenate([block.astype(float) @ values for block in blocks]) / b
-    index = batches.index
-
-    def means(values: np.ndarray) -> np.ndarray:
-        total = values[index[:, 0]]
-        for j in range(1, b):
-            total += values[index[:, j]]
-        return total / b
-
-    return means
 
 
 def _checked_batches(batches: Iterable[Iterable[str]], alpha: float) -> tuple[CalibrationBatches, int]:
@@ -511,7 +519,7 @@ def _calibrate(
     every query of the batches' pool, stamped with the view's metric and
     label scale; it searches the view's knots and shares the view's memo."""
     batches, allowed = _checked_batches(batches, alpha)
-    batch_mean = _batch_means(batches)
+    batch_mean = batches.means
     where = {q: i for i, q in enumerate(view.query_ids)}
     pos = np.fromiter(map(where.__getitem__, batches.pool), np.intp, len(batches.pool))
     batch_true = batch_mean(view.true_utilities()[pos])

@@ -217,8 +217,9 @@ def sweep(
     Every method and (beta, tau) at a budget n and repeat sees one labeled
     draw from the validation half, and bootstrap and crc one resample index
     of it; the one bootstrap interval is emitted for every (beta, tau), and
-    a value repeated in a grid is swept once.  Coverage is judged against
-    the test half's true utility.
+    a value repeated in a grid is swept once (an n at its first position, so
+    no other n's streams move).  Coverage is judged against the test half's
+    true utility.
     Seed streams, ppi and rows run on the calling thread, and only each unit's
     resample draw, bootstrap bounds and crc calibrations on the ``workers`` threads.
     Deterministic for a given seed, independent of ``workers``.
@@ -272,7 +273,7 @@ def sweep(
         return [resample(*units[task]) for task in chunk]
 
     # One interleaved chunk per thread: each holds every k-th unit, so the budgets mix evenly.
-    tasks = [(n_idx, rep) for n_idx in range(len(n_grid)) for rep in range(repeats)]
+    tasks = [(i, rep) for i, n in enumerate(n_grid) if n not in n_grid[:i] for rep in range(repeats)]
     units = {task: draw(*task) for task in tasks}
     k = min(workers, len(tasks))
     if k > 1:

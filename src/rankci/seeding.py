@@ -24,10 +24,3 @@ def child_seed(seed: int, *path: int) -> int:
     """A derived integer seed, for APIs that take a plain seed argument."""
     return int(stream(seed, *path).integers(0, 2**63))
 
-
-def index_blocks(seed: int, high: int, shape: tuple[int, int], entries: int):
-    """The rows of ``stream(seed).integers(0, high, size=shape)``, the same values
-    as one draw, drawn in turn in blocks of at most ``entries`` entries (one row at least)."""
-    rng, (rows, cols) = stream(seed), shape
-    step = max(1, entries // max(cols, 1))
-    return (rng.integers(0, high, size=(min(step, rows - start), cols)) for start in range(0, rows, step))

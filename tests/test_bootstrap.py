@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankci import bootstrap as bootstrap_module
+from rankci import crc
 from rankci.bootstrap import _percentile_bounds, _resample_means, bootstrap_ci, empirical_estimate
 from rankci.errors import InsufficientDataError
 from rankci.seeding import stream
@@ -102,7 +102,7 @@ def _one_block_ci(values, alpha, resamples, seed):
 @pytest.mark.parametrize("n", [2, 3, 7, 40, 81])
 @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 20])
 def test_bootstrap_ci_chunked_draws_equal_one_block(n, chunk, monkeypatch):
-    monkeypatch.setattr(bootstrap_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(crc, "_COUNT_BLOCK", chunk)
     values = stream(n).normal(5.0, 3.0, size=n)
     for resamples, seed in ((100, 0), (333, 4), (1001, 9)):
         ci = bootstrap_ci(values, 0.1, resamples=resamples, seed=seed)

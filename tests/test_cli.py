@@ -467,6 +467,34 @@ def test_ci_calibration_record_with_a_non_integer_count_is_a_format_error(
     assert "format error" in err and str(cal_path) in err and f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("key, value, kind", [("alpha", "0.1", "a number"), ("lambda_high", "0.3", "a number"),
+                                              ("achieved_loss_low", False, "a number"),
+                                              ("metric", 10, "a string")])
+def test_ci_calibration_record_with_a_field_of_the_wrong_json_type_is_a_format_error(
+        labeled_corpus, tmp_path, capsys, key, value, kind):
+    cal_path = tmp_path / "cal.json"
+    code, _, _ = _run_main(["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+                            "--dists", labeled_corpus["dists"], "--method", "crc", "--batches", "200",
+                            "--save-calibration", str(cal_path)], capsys)
+    assert code == 0
+    raw = json.loads(cal_path.read_text(encoding="utf-8"))
+    raw[key] = value
+    cal_path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = _load_calibration(labeled_corpus, cal_path, capsys)
+    assert (code, out) == (2, "")
+    assert "format error" in err and str(cal_path) in err and f"{key} must be {kind}" in err
+
+
+def test_ci_crc_takes_the_fewest_batches_with_a_positive_threshold(labeled_corpus, capsys):
+    # At alpha = 0.07, 14 batches leave a risk threshold of 0.0018 and 13 a negative one.
+    argv = ["ci", "--run", labeled_corpus["run"], "--qrels", labeled_corpus["qrels"],
+            "--dists", labeled_corpus["dists"], "--method", "crc", "--alpha", "0.07"]
+    code, out, _ = _run_main([*argv, "--batches", "14"], capsys)
+    assert code == 0 and "crc" in out
+    code, _, err = _run_main([*argv, "--batches", "13"], capsys)
+    assert code == 3 and "needs at least 14 for a positive risk threshold" in err
+
+
 def test_ci_calibration_file_that_is_not_json_is_a_format_error(labeled_corpus, tmp_path, capsys):
     cal_path = tmp_path / "cal.json"
     cal_path.write_text("not json", encoding="utf-8")

@@ -3,6 +3,7 @@ the serialised calibration record."""
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,17 @@ def test_batches_refuse_an_index_entry_outside_the_pool(index, entry):
     assert list(CalibrationBatches(["a", "b", "c"], inside)) == [tuple("abc"[i] for i in row) for row in inside]
 
 
+@pytest.mark.parametrize("index, dtype", [([[0.5, 1.9]], "float64"), ([[True, False]], "bool"),
+                                          (np.array([[0.0, 1.0]], dtype=np.float32), "float32")])
+def test_batches_refuse_an_index_that_does_not_hold_integers(index, dtype):
+    # Cast to intp, [[0.5, 1.9]] used to read as the batch ("a", "b") and
+    # [[True, False]] as ("b", "a").
+    with pytest.raises(ValueError, match=f"must hold integers, got dtype {dtype}"):
+        CalibrationBatches("abc", index)
+    unsigned = np.array([[2, 0]], dtype=np.uint8)
+    assert list(CalibrationBatches("abc", unsigned)) == [("c", "a")] and unsigned.flags.writeable
+
+
 @pytest.mark.parametrize("index", [[0, 1, 2], [[[0]]], 1])
 def test_batches_refuse_an_index_that_is_not_2d(index):
     with pytest.raises(ValueError, match=f"must be 2-D .*; got a {np.ndim(index)}-D one"):
@@ -265,12 +277,19 @@ def test_required_batches():
     assert required_batches(0.05) == 20
     assert required_batches(0.1) == 10
     assert required_batches(0.5) == 2
+    assert (required_batches(0.25), required_batches(0.07), required_batches(0.03)) == (4, 14, 33)
+    assert (required_batches(0.15), required_batches(0.3)) == (6, 3)
     # the threshold is meaningfully positive from the required count upward
     # and vanishes (to rounding) one batch below it
     for alpha in (0.05, 0.1, 0.25):
         m = required_batches(alpha)
         assert calibration_threshold(alpha, m) > 1e-6
         assert calibration_threshold(alpha, m - 1) < 1e-12
+    # on any alpha, it is positive at the required count and not one batch below
+    for alpha in [0.01, 0.03, 0.07, 0.15, 0.3, 0.5, *np.linspace(0.011, 0.5, 97)]:
+        m = required_batches(alpha)
+        assert calibration_threshold(alpha, m) > 0.0, alpha
+        assert calibration_threshold(alpha, m - 1) < 1e-12, alpha
 
 
 # --- calibration ------------------------------------------------------------------
@@ -307,6 +326,30 @@ def test_calibrate_succeeds_with_perfect_predictions_and_minimum_batches():
     ci = crc_ci(DCG, ds.queries(), ds, cal)
     # the interval collapses onto the (exactly predicted) utility
     assert ci.width == pytest.approx(0.0, abs=1e-9)
+
+
+def test_calibrate_accepts_the_required_count_where_the_ratio_is_not_an_integer():
+    # (1 - 0.07) / 0.07 = 13.29, so 14 batches leave a threshold of 0.0018 > 0.
+    ds = _synth(sharpness=float("inf"))
+    cal = calibrate(DCG, build_batches(ds.queries(), num_batches=14, seed=1), ds, alpha=0.07)
+    assert (cal.num_batches, cal.achieved_loss_low, cal.achieved_loss_high) == (14, 0.0, 0.0)
+    with pytest.raises(TooFewBatchesError, match="needs at least 14"):
+        calibrate(DCG, build_batches(ds.queries(), num_batches=13, seed=1), ds, alpha=0.07)
+
+
+def test_calibrations_on_one_batch_set_build_its_draw_counts_once(monkeypatch):
+    ds = _synth()
+    reads = []
+    blocks = CalibrationBatches.blocks
+    monkeypatch.setattr(CalibrationBatches, "blocks", lambda self: reads.append(self) or blocks(self))
+    batches = build_batches(ds.queries(), num_batches=40, seed=3)
+    first = calibrate(DCG, batches, ds, alpha=0.1)
+    assert calibrate(DCG, batches, ds, alpha=0.1) == first
+    assert calibrate(PREC, batches, ds, alpha=0.2).metric == "prec@5"
+    assert reads == [batches]
+    # A fresh batch set over the same draws builds its own counts, to the same calibration.
+    assert calibrate(DCG, build_batches(ds.queries(), num_batches=40, seed=3), ds, alpha=0.1) == first
+    assert len(reads) == 2
 
 
 def test_calibrate_raises_when_no_strength_can_reach_the_truth():
@@ -470,6 +513,28 @@ def test_calibration_record_refuses_a_count_that_is_not_a_json_integer(key, valu
     raw[key] = value
     with pytest.raises(ValueError, match=f"malformed calibration record: {key} must be an integer, "
                                          f"got {json.dumps(value)}"):
+        CrcCalibration.from_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("alpha", "0.1", "a number"), ("lambda_high", "0.3", "a number"), ("lambda_low", True, "a number"),
+    ("achieved_loss_low", False, "a number"), ("achieved_loss_high", [0.0], "a number"),
+    ("metric", 10, "a string"), ("metric", ["dcg@10"], "a string"),
+])
+def test_calibration_record_refuses_a_field_of_the_wrong_json_type(key, value, kind):
+    raw = {"lambda_low": -0.5, "lambda_high": 0.5, "alpha": 0.05, "num_batches": 2000,
+           "achieved_loss_low": 0.0, "achieved_loss_high": 0.0, **STAMP}
+    assert CrcCalibration.from_text(json.dumps(raw | {"alpha": 1 / 20, "lambda_high": 0})).lambda_high == 0.0
+    raw[key] = value
+    with pytest.raises(ValueError, match=rf"malformed calibration record: {key} must be {kind}, "
+                                         rf"got {re.escape(json.dumps(value))}"):
+        CrcCalibration.from_text(json.dumps(raw))
+
+
+def test_calibration_record_refuses_an_integer_too_large_for_a_float():
+    raw = {"lambda_low": -0.5, "lambda_high": 0.5, "alpha": 10**400, "num_batches": 2000,
+           "achieved_loss_low": 0.0, "achieved_loss_high": 0.0, **STAMP}
+    with pytest.raises(ValueError, match="malformed calibration record: int too large to convert to float"):
         CrcCalibration.from_text(json.dumps(raw))
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rankci import cli, crc
 from rankci.crc import (
     _LAM_EDGE,
-    _batch_means,
     _knots,
     _perturb_rows,
     _UtilityEngine,
@@ -124,7 +123,7 @@ def test_batch_means_are_the_row_means_of_the_indexed_values(m, b, shift, dense,
     rng = np.random.default_rng(seed)
     index = rng.integers(0, n_q, size=(m, b))
     values = rng.uniform(0.0, 10.0, size=n_q)
-    np.testing.assert_allclose(_batch_means(CalibrationBatches(range(n_q), index))(values),
+    np.testing.assert_allclose(CalibrationBatches(range(n_q), index).means(values),
                                values[index].mean(axis=1),
                                rtol=1e-12, atol=0.0)
 
@@ -142,7 +141,7 @@ def test_blockwise_draw_counts_equal_an_add_at_reference(m, b, shift, dense, blo
     counts = np.zeros((m, n_q))
     np.add.at(counts, (np.arange(m)[:, None], index), 1.0)
     with mock.patch.object(crc, "_COUNT_BLOCK", block):
-        batch_means = _batch_means(CalibrationBatches(range(n_q), index))
+        batch_means = CalibrationBatches(range(n_q), index).means
     # The means of the unit vectors are the draw counts over b, exactly.
     assert np.array_equal(batch_means(np.eye(n_q)), counts / b)
 
@@ -156,12 +155,14 @@ def test_compact_counts_give_one_float64_products_bits(m, n, extra, seed):
     """Counts held compactly and turned to float64 in 64-row blocks give the
     bits of one float64 product, tail blocks included.  Products stay under
     9,216 entries, below which OpenBLAS sums each one in a single thread."""
-    batches = build_batches([f"q{i:02d}" for i in range(n)], num_batches=m, batch_size=n + extra,
-                            seed=seed)
+    def batches():  # a fresh batch set for each patched constant, since it holds its means
+        return build_batches([f"q{i:02d}" for i in range(n)], num_batches=m, batch_size=n + extra,
+                             seed=seed)
+
     values = np.random.default_rng(seed).uniform(0.0, 10.0, size=n)
-    dense = _batch_means(batches)(values)
+    dense = batches().means(values)
     with mock.patch.object(crc, "_DENSE_COUNTS", 0), mock.patch.object(crc, "_PRODUCT_ENTRIES", 64 * n):
-        compact = _batch_means(batches)(values)
+        compact = batches().means(values)
     assert [x.hex() for x in compact] == [x.hex() for x in dense]
 
 

@@ -30,7 +30,7 @@ from rankci.harness import (
     sweep,
     write_csv,
 )
-from rankci import bootstrap, cli
+from rankci import cli, crc
 from rankci.bootstrap import bootstrap_ci
 from rankci.corpus import write_dists, write_qrels, write_run
 from rankci.crc import build_batches, calibrate, crc_ci
@@ -306,6 +306,33 @@ def test_a_value_repeated_in_a_grid_is_swept_once():
     assert _tiny_sweep(ds, beta_grid=(0.5, 0.5), tau_grid=(0.0, 1.0, 0.0)) == once
 
 
+def test_a_budget_repeated_in_n_grid_is_swept_once_at_its_first_position():
+    """A repeated n would give a second set of rows for the same (method, n, beta,
+    tau, repeat) keys, from other streams, and double the aggregate's runs.  The
+    other budgets keep the streams of their position in the grid."""
+    ds = _dataset()
+    kwargs = dict(beta_grid=(0.0, 1.0), alpha=0.2)
+    assert _tiny_sweep(ds, n_grid=(4, 4), **kwargs) == _tiny_sweep(ds, n_grid=(4,), **kwargs)
+    spread = _tiny_sweep(ds, n_grid=(4, 4, 6), **kwargs)
+    plain = _tiny_sweep(ds, n_grid=(4, 6), **kwargs)
+    assert len(spread) == len(plain) == 3 * 2 * 2 * 3
+    assert [r for r in spread if r["n"] == 4] == [r for r in plain if r["n"] == 4]
+    assert [r["width"] for r in spread if r["n"] == 6] != [r["width"] for r in plain if r["n"] == 6]
+    assert [a["runs"] for a in aggregate(spread)] == [3] * 12
+
+
+def test_a_crc_grid_builds_one_draw_count_matrix_per_unit(monkeypatch):
+    """Every (beta, tau) of an (n, repeat) calibrates on one batch set, which
+    builds its draw counts from one pass over its index blocks."""
+    reads = []
+    blocks = crc.CalibrationBatches.blocks
+    monkeypatch.setattr(crc.CalibrationBatches, "blocks", lambda self: reads.append(self) or blocks(self))
+    grid = dict(beta_grid=(0.0, 0.5, 1.0), tau_grid=(0.0, 0.25, 0.5), methods=("crc",), alpha=0.2)
+    rows = _tiny_sweep(_dataset(), workers=2, **grid)
+    assert len(rows) == 2 * 9 * 3 and {r["status"] for r in rows} == {"ok"}
+    assert len(reads) == len(set(map(id, reads))) == 2 * 3  # n_grid x repeats
+
+
 def test_sweep_rows_are_read_only_mappings_over_the_row_fields():
     ok = {"method": "ppi", "n": 10, "beta": 0.5, "tau": 0.0, "repeat": 3, "width": 0.25,
           "covered": 1, "low": 1.0, "high": 1.25, "truth": 1.1, "status": "ok"}
@@ -382,7 +409,7 @@ def test_sweep_bootstrap_rows_equal_chunked_bootstrap_ci(monkeypatch):
     """The sweep reads bootstrap's interval off the resample index that crc
     calibrates on, drawn as one block; bootstrap_ci draws the same stream in
     row chunks.  With chunks of a few rows, the two agree bit for bit."""
-    monkeypatch.setattr(bootstrap, "_CHUNK_ENTRIES", 50)  # 5-12 rows a chunk
+    monkeypatch.setattr(crc, "_COUNT_BLOCK", 50)  # 5-12 rows a chunk
     ds = _dataset()
     n_grid, seed, alpha = (4, 6, 9), 7, 0.1
     rows = _tiny_sweep(ds, n_grid=n_grid, seed=seed, alpha=alpha, methods=("bootstrap", "crc"))
