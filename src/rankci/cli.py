@@ -342,10 +342,11 @@ _SWEEP = {
     "methods": (_list(str), None, "comma list of bootstrap,ppi,crc (default all three)"),
     "seed": (int, None, "sweep seed (default 7)"),
     "split_seed": (int, None, "validation/test halving seed (default 11)"),
-    "workers": (int, None, "worker threads for the resample draws, bootstrap and crc, one "
-                           "round-robin chunk of (n, repeat) units each; seed streams, ppi "
-                           "and rows stay on the main thread; output identical for any "
-                           "value (default 1)"),
+    "workers": (int, None, "threads for the resample draws, bootstrap and crc, one "
+                           "round-robin chunk of (n, repeat) units each, the main thread "
+                           "resampling one of them; seed streams, ppi and rows stay on the "
+                           "main thread; faster on bootstrap/ppi grids, not on crc-heavy "
+                           "plans; output identical for any value (default 1)"),
     "output_dir": (str, None, "write the four artifacts here (default: none; harness-out "
                               "under rankci-harness)"),
     "out": (str, None, "write the CSV rows to this .csv path instead of stdout"),

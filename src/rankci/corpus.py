@@ -10,8 +10,8 @@ Three line-oriented text formats:
 * **dists** — one JSON object per line with keys ``qid``, ``docid`` and
   ``probs`` (the predicted label distribution, lowest label first).
 
-Parsers accept LF or CRLF and report the 1-based line number of anything
-malformed.  Writers emit a canonical form: sorted lines, LF endings, floats
+Parsers accept LF or CRLF, skip blank lines and report the 1-based line number of
+anything malformed.  Writers emit a canonical form: sorted lines, LF endings, floats
 rendered with ``repr`` (shortest digit string that round-trips exactly, at
 most 17 significant digits), so parse -> write -> parse is the identity.
 """
@@ -30,14 +30,6 @@ from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, Ranked
                     RelevanceDistribution, violating_rows)
 
 
-def _lines(text: str):
-    """Yield (1-based line number, stripped line), skipping blanks."""
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield i, line
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -53,8 +45,9 @@ def parse_run(text: str) -> dict[str, RankedList]:
     rank column is recomputed rather than trusted.
     """
     rows: dict[str, dict[str, float]] = {}
-    for lineno, line in _lines(text):
-        fields = line.split()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not (fields := line.split()):
+            continue
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields in run line, got {len(fields)}", line=lineno)
         qid, _iteration, docid, _rank, score_s, _tag = fields
@@ -97,8 +90,9 @@ def parse_qrels(text: str, scale: LabelScale) -> LabelTable:
     """Parse judgments; labels outside 0..max_label are rejected."""
     rows: dict[tuple[str, str], int] = {}
     labels: list[int] = []
-    for lineno, line in _lines(text):
-        fields = line.split()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not (fields := line.split()):
+            continue
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields in qrels line, got {len(fields)}", line=lineno)
         qid, _iteration, docid, label_s = fields
@@ -139,7 +133,9 @@ def parse_dists(text: str, scale: LabelScale) -> DistTable:
     flat: list = []
     linenos: list[int] = []
     try:
-        for lineno, line in _lines(text):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not (line := line.strip()):
+                continue
             try:
                 obj, end = scan(line, 0)
             except (StopIteration, json.JSONDecodeError):

@@ -19,19 +19,19 @@ over the whole pool; the risk-controlled interval calibrates its perturbation
 bounds on the bootstrap's resamples as batches and is then computed over the
 test half's predictions only.  One draw and resample index per (n, repeat)
 serve every method and (beta, tau): common random numbers, which pair the
-rows and leave each method's guarantee as it was.  ppi computes each (beta, tau)'s
-pool mean and variance once and gathers every point's labeled predictions once per
-(n, repeat); each stack is reduced C-contiguous, all rows in one call, which keeps
-the bits of ``ppi_ci(ppi_estimate(...))``.  Each (n, repeat) is a unit of work drawn
-from its own seed-derived streams, in three phases.  The calling thread opens every
-unit's seed streams: it draws the labeled positions and derives the resample seed.
-Worker threads then run the resample kernels, one unit at a time: one M x n index draw
-from that seed, reduced to the two bootstrap bounds, and each (beta, tau)'s crc
-calibration and bounds.  The units are dealt
-round-robin into ``min(workers, units)`` chunks, one per thread (for one worker, inline
-and with no thread), and a unit's index and means die with it.  Last, the calling thread
-computes the ppi bounds and builds and sorts the rows, so the output is byte-identical
-for any worker count.  Each row is a read-only :class:`SweepRow` mapping.
+rows and leave each method's guarantee as it was.  Each beta biases the predictions
+once; ppi computes each (beta, tau)'s pool mean and variance once and gathers a budget's
+labeled predictions, every point and repeat, at once; each stack is reduced C-contiguous,
+all rows in one call, which keeps the bits of ``ppi_ci(ppi_estimate(...))``.  Each
+(n, repeat) is a unit of work drawn from its own seed-derived streams, in three phases.
+The calling thread opens every unit's seed streams: it draws the labeled positions and
+derives the resample seed.  Then the resample kernels run, one unit at a time: one M x n
+index draw from that seed, reduced to the two bootstrap bounds, and each (beta, tau)'s
+crc calibration and bounds.  The units are dealt round-robin into k = ``min(workers,
+units)`` chunks: the calling thread resamples the first, k - 1 pool threads the rest,
+and a unit's index and means die with it.  Last, the calling thread computes the ppi
+bounds and builds and sorts the rows, so the output is byte-identical for any worker
+count.  Each row is a read-only :class:`SweepRow` mapping.
 
 Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``aggregate.csv`` (coverage with a binomial band, mean width),
@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -192,9 +193,10 @@ def halve_pool(pool: list[str], seed: int) -> tuple[list[str], list[str]]:
     reproducibly.  Returns (validation, test), both sorted."""
     if len(pool) < 4:
         raise ValueError("need at least 4 labeled queries to form two halves")
-    order = stream(seed).permutation(sorted(pool))
+    ids = sorted(pool)  # permuted by position: a numpy string array drops trailing NULs
+    order = [ids[i] for i in stream(seed).permutation(len(ids)).tolist()]
     half = len(order) // 2
-    return sorted(order[:half].tolist()), sorted(order[half:].tolist())
+    return sorted(order[:half]), sorted(order[half:])
 
 
 def sweep(
@@ -220,15 +222,17 @@ def sweep(
     a value repeated in a grid is swept once (an n at its first position, so
     no other n's streams move).  Coverage is judged against the test half's
     true utility.
-    Seed streams, ppi and rows run on the calling thread, and only each unit's
-    resample draw, bootstrap bounds and crc calibrations on the ``workers`` threads.
+    Seed streams, ppi and rows run on the calling thread.  Each unit's resample draw,
+    bootstrap bounds and crc calibrations run in k = ``min(workers, units)`` interleaved
+    chunks: the calling thread resamples the first and k - 1 pool threads the others.
     Deterministic for a given seed, independent of ``workers``.
     Options no sweep can run with raise ``ValueError`` before any work.
     """
     _check_sweep_options(alpha, repeats, workers, methods, n_grid, num_batches)
     pool = dataset.labeled_queries()
     validation, test = halve_pool(pool, split_seed)
-    val_pos = np.searchsorted(pool, validation)  # the validation half's rows in the sorted pool
+    at = {q: i for i, q in enumerate(pool)}
+    val_pos = np.array([at[q] for q in validation], dtype=np.intp)  # rows in the sorted pool
 
     view = _UtilityEngine(spec, dataset, pool)
     true_pool = view.true_utilities()
@@ -237,9 +241,10 @@ def sweep(
     # Per (beta, tau): a row of the pool's predicted utilities in one read-only stack, and,
     # for crc, the views of the validation half (every calibration's) and of the test half.
     grid = list(dict.fromkeys((beta, tau) for beta in beta_grid for tau in tau_grid))
+    biased = {beta: bias_probs(view.probs, beta) for beta in dict.fromkeys(beta_grid)}
     preds, halves = [], []
     for beta, tau in grid:
-        view_t = view.with_probs(oracle_probs(bias_probs(view.probs, beta), view.labels, tau))
+        view_t = view.with_probs(oracle_probs(biased[beta], view.labels, tau))
         preds.append(view_t.predicted_utilities())
         halves.append((view_t.subset(validation), view_t.subset(test)) if "crc" in methods else None)
     preds = np.array(preds)
@@ -273,34 +278,41 @@ def sweep(
         return [resample(*units[task]) for task in chunk]
 
     # One interleaved chunk per thread: each holds every k-th unit, so the budgets mix evenly.
-    tasks = [(i, rep) for i, n in enumerate(n_grid) if n not in n_grid[:i] for rep in range(repeats)]
+    # The calling thread runs the first chunk itself; a sweep that resamples nothing starts
+    # no thread.
+    budgets = [i for i, n in enumerate(n_grid) if n not in n_grid[:i]]
+    tasks = [(i, rep) for i in budgets for rep in range(repeats)]
     units = {task: draw(*task) for task in tasks}
-    k = min(workers, len(tasks))
+    k = min(workers, len(tasks)) if resampled else 1
     if k > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays its import
-        with ThreadPoolExecutor(max_workers=k) as pool_exec:
-            outcomes = list(pool_exec.map(run_chunk, [tasks[i::k] for i in range(k)]))
+        with ThreadPoolExecutor(max_workers=k - 1) as pool_exec:
+            others = pool_exec.map(run_chunk, [tasks[i::k] for i in range(1, k)])
+            outcomes = [run_chunk(tasks[::k]), *others]
     else:
         outcomes = [run_chunk(tasks)]
+    done = {task: out for i, outs in enumerate(outcomes) for task, out in zip(tasks[i::k], outs)}
 
-    rows = []  # phase C: ppi, from one gather of every (beta, tau)'s labeled errors, and the rows
-    for i, chunk in enumerate(outcomes):
-        for (n_idx, repeat), (boot, crcs) in zip(tasks[i::k], chunk):
-            n, pos = n_grid[n_idx], units[n_idx, repeat][0]
-            error = f"error: n={n} exceeds validation half size {len(validation)}" if pos is None else None
-            if "ppi" in methods and pos is not None:
-                ppis = list(zip(*(b.tolist() for b in _ppi_bounds(true_pool[pos] - preds[:, pos], ppi_pool))))
+    rows = []  # phase C: ppi, one call per budget over every repeat's labeled errors, and the rows
+    for n_idx in budgets:
+        n = n_grid[n_idx]
+        error = f"error: n={n} exceeds validation half size {len(validation)}" if n > len(validation) else None
+        if "ppi" in methods and not error:  # repeats x points x n errors, each row with its own bits
+            pos = np.array([units[n_idx, rep][0] for rep in range(repeats)])
+            lows, highs = _ppi_bounds(true_pool[pos][:, None] - preds[:, pos].swapaxes(0, 1), ppi_pool)
+            ppis = [list(zip(*r)) for r in zip(lows.tolist(), highs.tolist())]
+        for rep in range(repeats):
+            boot, crcs = done[n_idx, rep]
             for g, (beta, tau) in enumerate(grid):
                 for method in methods:
-                    out = error or (boot if method == "bootstrap" else ppis[g] if method == "ppi" else crcs[g])
+                    out = error or (boot if method == "bootstrap" else ppis[rep][g] if method == "ppi" else crcs[g])
                     if isinstance(out, str):
-                        rows.append(SweepRow(method, n, beta, tau, repeat, "", "", "", truth_target, out))
+                        rows.append(SweepRow(method, n, beta, tau, rep, "", "", "", truth_target, out))
                     else:
                         covered = int(out[0] <= truth_target <= out[1])
-                        rows.append(SweepRow(method, n, beta, tau, repeat, covered, *out, truth_target,
-                                             "ok"))
+                        rows.append(SweepRow(method, n, beta, tau, rep, covered, *out, truth_target, "ok"))
 
-    return sorted(rows, key=lambda r: (r.method, r.n, r.beta, r.tau, r.repeat))
+    return sorted(rows, key=attrgetter("method", "n", "beta", "tau", "repeat"))
 
 
 def sweep_plan(dataset: Dataset, plan: ExperimentPlan) -> list[SweepRow]:
@@ -351,7 +363,7 @@ def per_query_rows(
     batches = build_batches(validation, mode="per_query")
     ordered = sorted(test, key=lambda q: (-true_u[q], q))
     out = []
-    for tau in tau_grid:
+    for tau in dict.fromkeys(tau_grid):  # each value once, at its first position, as in sweep
         view_t = view.with_probs(oracle_probs(view.probs, view.labels, tau))
         cal = _calibrate(batches, view_t.subset(validation), alpha)
         for q, (low, high, pred) in zip(ordered, _per_query_intervals(view_t.subset(ordered), cal)):

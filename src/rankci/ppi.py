@@ -17,9 +17,9 @@ with both variances taken as unbiased sample variances.  With constant
 predictions the whole thing collapses to the classical normal interval for
 the labeled mean.
 
-A sweep computes each (beta, tau) pool's mean and variance once and gathers every
-labeled draw's errors at once.  Each stack is reduced C-contiguous, all rows in one
-call; numpy then sums each row pairwise as it sums the row alone, with ``ppi_ci``'s bits.
+A sweep computes each (beta, tau) pool's mean and variance once and gathers a budget's
+labeled errors at once.  Each stack is reduced C-contiguous over its last axis, all rows
+in one call; numpy then sums each row pairwise as it sums it alone, with ``ppi_ci``'s bits.
 """
 
 from __future__ import annotations
@@ -118,14 +118,14 @@ def _ppi_pool(preds: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _ppi_bounds(errors: np.ndarray, pool: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``(lower, upper)`` of :func:`ppi_ci` per row of ``G x n`` labeled errors (true - predicted)."""
+    """``(lower, upper)`` of :func:`ppi_ci` per row of ``[R x] G x n`` errors (true - predicted)."""
     pool_mean, pool_term, z = pool
-    # The sweep's gather is column-major; only C-contiguous rows sum as ppi_estimate's do.
+    # The sweep's gather is not C-contiguous; only C-contiguous rows sum as ppi_estimate's do.
     errors = np.ascontiguousarray(errors)
     # ndarray.mean and var(ddof=1) in their own operation order, with one shared row sum.
-    n = errors.shape[1]
-    mean = np.add.reduce(errors, axis=1) / n
-    dev = errors - mean[:, None]
+    n = errors.shape[-1]
+    mean = np.add.reduce(errors, axis=-1) / n
+    dev = errors - mean[..., None]
     estimate = pool_mean + mean
-    half = z * np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1) / n + pool_term)
+    half = z * np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=-1) / (n - 1) / n + pool_term)
     return estimate - half, estimate + half

@@ -32,7 +32,7 @@ from rankci.harness import (
 )
 from rankci import cli, crc
 from rankci.bootstrap import bootstrap_ci
-from rankci.corpus import write_dists, write_qrels, write_run
+from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
 from rankci.crc import build_batches, calibrate, crc_ci
 from rankci.metrics import dataset_utility, parse_metric, predicted_utilities, true_utilities
 from rankci.model import Dataset, LabelScale, RelevanceDistribution
@@ -71,6 +71,29 @@ def test_halve_pool_ignores_input_order():
 def test_halve_pool_moves_with_the_seed():
     pool = [f"q{i}" for i in range(10)]
     assert halve_pool(pool, seed=1) != halve_pool(pool, seed=2)
+
+
+def test_halve_pool_keeps_a_trailing_nul_in_a_query_id():
+    assert halve_pool(["a\x00", "b", "c", "d", "e", "f"], 1) == (["a\x00", "c", "e"], ["b", "d", "f"])
+
+
+def test_sweeps_keep_a_query_id_with_a_trailing_nul():
+    """A file query id may end in NUL, which a numpy string array drops: here ``q001``
+    becomes ``q000\\x00``, which sorts where ``q001`` did.  The halves, the validation
+    positions and crc's batches keep it apart from ``q000``, so the rows are the
+    original dataset's."""
+    ds = _dataset(queries=40)
+    run = write_run(ds.rankings).replace("q001 ", "q000\x00 ")
+    qrels = write_qrels(ds.truth).replace("q001 ", "q000\x00 ")
+    dists = write_dists(ds.predicted).replace('"q001"', '"q000\\u0000"')
+    renamed = build_dataset(run, dists, qrels, LabelScale(2))
+    assert renamed.labeled_queries()[:2] == ["q000", "q000\x00"]
+    assert "q000\x00" in halve_pool(renamed.labeled_queries(), 11)[0]
+    kwargs = dict(n_grid=(10,), repeats=3, num_batches=200, alpha=0.2, seed=7, split_seed=11)
+    rows = sweep(renamed, DCG, workers=2, **kwargs)
+    assert {r["status"] for r in rows} == {"ok"}
+    assert rows == sweep(ds, DCG, workers=1, **kwargs)
+    assert len(per_query_rows(renamed, DCG, alpha=0.2)) == 20
 
 
 def test_halve_pool_needs_four_queries():
@@ -132,9 +155,10 @@ def test_grid_sweep_is_worker_independent_over_one_read_only_stack(monkeypatch):
 
 
 def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch):
-    """Rows are byte-identical at 1, 2, 3 and 5 workers.  More than one worker
-    starts ``min(workers, units)`` threads and maps the chunks ``units[i::k]``,
-    none empty; one worker, or one unit, starts none."""
+    """Rows are byte-identical at 1, 2, 3 and 5 workers.  More than one worker deals
+    the units into k = ``min(workers, units)`` chunks ``units[i::k]``, none empty: the
+    calling thread runs the first, and k - 1 pool threads map the others.  One worker,
+    one unit, or a sweep that resamples nothing (ppi only) starts no thread."""
     executors = []
 
     class Recording(ThreadPoolExecutor):
@@ -155,7 +179,7 @@ def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch
 
     def csv_bytes(**kw):
         buf = io.StringIO()
-        write_csv(buf, ROW_FIELDS, _tiny_sweep(ds, **grid, **kw))
+        write_csv(buf, ROW_FIELDS, _tiny_sweep(ds, **{**grid, **kw}))
         return buf.getvalue()
 
     for repeats, n_grid in ((3, (4, 6)), (1, (4, 6)), (1, (4,))):
@@ -166,14 +190,18 @@ def test_sweep_deals_its_units_into_one_interleaved_chunk_per_thread(monkeypatch
             assert csv_bytes(repeats=repeats, n_grid=n_grid, workers=workers) == one
         threads = [min(w, len(units)) for w in (2, 3, 5)]
         assert [(e.threads, e.chunks) for e in executors] == [
-            (k, [units[i::k] for i in range(k)]) for k in threads if k > 1]
+            (k - 1, [units[i::k] for i in range(1, k)]) for k in threads if k > 1]
         assert all(chunk for e in executors for chunk in e.chunks)
         executors.clear()
+    ppi_only = csv_bytes(methods=("ppi",), workers=1)
+    assert csv_bytes(methods=("ppi",), workers=3) == ppi_only
+    assert executors == []
 
 
 def test_sweep_threads_run_only_the_resample_kernels(monkeypatch):
     """Every seed stream the sweep opens and every row it builds run on the thread
-    that called it; the worker threads draw and reduce each unit's resamples."""
+    that called it; that thread and the pool threads draw and reduce the units'
+    resamples."""
     calls = []
 
     def recording(fn):
@@ -188,7 +216,8 @@ def test_sweep_threads_run_only_the_resample_kernels(monkeypatch):
     on = {name: {t for n, t in calls if n == name} for name, _ in calls}
     assert on["stream"] == on["child_seed"] == on["SweepRow"] == {threading.get_ident()}
     assert sum(name == "SweepRow" for name, _ in calls) == len(rows) == 3 * 4 * 2 * 3
-    assert threading.get_ident() not in on["build_batches"]  # the threads did run
+    # The calling thread resamples its chunk, and the pool threads did run.
+    assert threading.get_ident() in on["build_batches"] and len(on["build_batches"]) > 1
 
 
 def test_a_long_one_budget_sweep_holds_no_index_or_means_across_units():
@@ -475,6 +504,13 @@ def test_per_query_rows_cover_the_test_half_sorted_by_truth():
     assert all(set(PER_QUERY_FIELDS) == set(r) for r in rows)
     assert all(r["low"] <= r["high"] for r in rows)
     assert all(r["covered"] in (0, 1) for r in rows)
+
+
+def test_per_query_rows_list_a_repeated_tau_once_at_its_first_position():
+    ds = _dataset(queries=44)
+    rows = per_query_rows(ds, DCG, tau_grid=(0.5, 0.0, 0.5, 0.0), alpha=0.05, split_seed=11)
+    assert rows == per_query_rows(ds, DCG, tau_grid=(0.5, 0.0), alpha=0.05, split_seed=11)
+    assert len(rows) == 2 * 22 and [r["tau"] for r in rows[::22]] == [0.5, 0.0]
 
 
 def test_per_query_rows_shrink_to_zero_width_at_full_oracle_strength():

@@ -135,3 +135,33 @@ def test_stacked_bounds_equal_ppi_ci_in_hex(g, n, size, alpha, seed, constant_po
     assert [x.hex() for x in highs.tolist()] == [ci.upper.hex() for ci in cis]
     assert not constant_pool or cis[0].diagnostics["var_pred"] == 0.0
     assert not exact_labels or cis[-1].diagnostics["var_error"] == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(r=st.integers(1, 12), g=st.integers(1, 12), n=st.integers(2, 90), size=st.integers(2, 200),
+       alpha=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["sweep", "c", "strided"]))
+def test_repeat_stacked_bounds_equal_one_call_per_repeat_in_hex(r, g, n, size, alpha, seed, layout):
+    """One call over a repeats x G x n stack of labeled errors, as the sweep makes per
+    budget, gives every row the bits of R separate G x n calls and of
+    ppi_ci(ppi_estimate(...)), for a C-contiguous stack and for one that is not."""
+    rng = stream(seed)
+    pred_all = rng.normal(rng.normal(size=(g, 1)), rng.gamma(2.0, size=(g, 1)), size=(g, size))
+    pos = np.sort(rng.integers(0, size, size=(r, n)), axis=1)
+    true = rng.normal(rng.normal(), rng.gamma(2.0), size=(r, n))
+    errors = true[:, None] - pred_all[:, pos].swapaxes(0, 1)  # the sweep's gather
+    if layout == "c":
+        errors = np.ascontiguousarray(errors)
+    elif layout == "strided":
+        errors = np.repeat(errors, 2, axis=-1)[..., ::2]
+    assert errors.shape == (r, g, n)
+    assert layout == "sweep" or errors.flags.c_contiguous == (layout == "c")
+    pool = _ppi_pool(pred_all, alpha)
+    lows, highs = _ppi_bounds(errors, pool)
+    assert lows.shape == highs.shape == (r, g)
+    for rep in range(r):
+        one_lows, one_highs = _ppi_bounds(true[rep] - pred_all[:, pos[rep]], pool)
+        cis = [ppi_ci(ppi_estimate(true[rep], pa[pos[rep]], pa), alpha) for pa in pred_all]
+        hexes = [x.hex() for x in lows[rep].tolist()], [x.hex() for x in highs[rep].tolist()]
+        assert hexes == ([x.hex() for x in one_lows.tolist()], [x.hex() for x in one_highs.tolist()])
+        assert hexes == ([ci.lower.hex() for ci in cis], [ci.upper.hex() for ci in cis])
