@@ -11,17 +11,20 @@ Three line-oriented text formats:
   ``probs`` (the predicted label distribution, lowest label first).
 
 Parsers accept LF or CRLF, skip blank lines and report the 1-based line number of
-anything malformed.  Writers emit a canonical form: sorted lines, LF endings, floats
-rendered with ``repr`` (shortest digit string that round-trips exactly, at
-most 17 significant digits), so parse -> write -> parse is the identity.
+anything malformed.  They hold about one 64 Ki-character chunk of lines at a
+time, each probability as an 8-byte double, and one string per id, which the
+run, qrels and dists tables of one :func:`build_dataset` call share.  Writers
+emit a canonical form: sorted lines, LF endings, floats rendered with ``repr``
+(shortest digit string that round-trips exactly, at most 17 significant
+digits), so parse -> write -> parse is the identity.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-from collections.abc import Mapping
+from array import array
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -30,8 +33,26 @@ from .model import (Dataset, DistTable, Judgment, LabelScale, LabelTable, Ranked
                     RelevanceDistribution, violating_rows)
 
 
+_CHUNK = 1 << 16  # characters of text split into lines at a time
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``enumerate(text.split("\\n"), start=1)``, splitting about ``_CHUNK``
+    characters at a time, so only one chunk's lines are held at once."""
+    lineno, start = 1, 0
+    while True:
+        # A chunk ends at its last line break; a line longer than a chunk is a chunk of its own.
+        cut = text.rfind("\n", start, start + _CHUNK)
+        if cut < 0 and (cut := text.find("\n", start)) < 0:
+            yield lineno, text[start:]
+            return
+        lines = text[start:cut].split("\n")
+        yield from enumerate(lines, lineno)
+        lineno, start = lineno + len(lines), cut + 1
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +65,13 @@ def parse_run(text: str) -> dict[str, RankedList]:
     Duplicate (query, document) pairs and unparseable scores are errors; the
     rank column is recomputed rather than trusted.
     """
+    return _parse_run(text, {})
+
+
+def _parse_run(text: str, ids: dict[str, str]) -> dict[str, RankedList]:
+    """:func:`parse_run`, taking each id's string from ``ids`` (see :func:`build_dataset`)."""
     rows: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in _numbered_lines(text):
         if not (fields := line.split()):
             continue
         if len(fields) != 6:
@@ -63,11 +89,13 @@ def parse_run(text: str) -> dict[str, RankedList]:
         docs[docid] = score
 
     rankings: dict[str, RankedList] = {}
+    share = ids.setdefault
     for qid in sorted(rows):
         # Score descending; a reversed sort is stable, so ties keep doc id order.
         docs = rows[qid]
         ordered = sorted(sorted(docs), key=docs.__getitem__, reverse=True)
-        rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(ordered))
+        qid = share(qid, qid)
+        rankings[qid] = RankedList(query_id=qid, doc_ids=tuple(map(share, ordered, ordered)))
     return rankings
 
 
@@ -88,9 +116,14 @@ def write_run(rankings: Mapping[str, RankedList], tag: str = "rankci") -> str:
 
 def parse_qrels(text: str, scale: LabelScale) -> LabelTable:
     """Parse judgments; labels outside 0..max_label are rejected."""
+    return _parse_qrels(text, scale, {})
+
+
+def _parse_qrels(text: str, scale: LabelScale, ids: dict[str, str]) -> LabelTable:
+    share = ids.setdefault
     rows: dict[tuple[str, str], int] = {}
     labels: list[int] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in _numbered_lines(text):
         if not (fields := line.split()):
             continue
         if len(fields) != 4:
@@ -105,9 +138,9 @@ def parse_qrels(text: str, scale: LabelScale) -> LabelTable:
                 f"label {label} for query {qid!r} doc {docid!r} is off the 0..{scale.max_label} scale",
                 line=lineno,
             )
-        if (qid, docid) in rows:
+        if (key := (share(qid, qid), share(docid, docid))) in rows:
             raise ParseError(f"duplicate judgment for query {qid!r} doc {docid!r}", line=lineno)
-        rows[(qid, docid)] = len(labels)
+        rows[key] = len(labels)
         labels.append(label)
     return LabelTable(rows, np.array(labels, dtype=np.intp))
 
@@ -125,15 +158,18 @@ def write_qrels(truth: Mapping[tuple[str, str], Judgment]) -> str:
 
 def parse_dists(text: str, scale: LabelScale) -> DistTable:
     """Parse predicted label distributions into one table.  Each line's
-    structure is checked as it is read; its vector is checked afterwards, as
-    :meth:`RelevanceDistribution.violations` does, for all lines at once.
-    Either way the earliest bad line is the one reported."""
-    scan, width = json.JSONDecoder().scan_once, scale.num_labels
+    structure and entries are checked as it is read; its vector is checked
+    afterwards, as :meth:`RelevanceDistribution.violations` does, for all
+    lines at once.  Either way the earliest bad line is the one reported."""
+    return _parse_dists(text, scale, {})
+
+
+def _parse_dists(text: str, scale: LabelScale, ids: dict[str, str]) -> DistTable:
+    scan, width, share = json.JSONDecoder().scan_once, scale.num_labels, ids.setdefault
     rows: dict[tuple[str, str], int] = {}
-    flat: list = []
-    linenos: list[int] = []
+    flat, linenos = array("d"), array("q")
     try:
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in _numbered_lines(text):
             if not (line := line.strip()):
                 continue
             try:
@@ -156,31 +192,28 @@ def parse_dists(text: str, scale: LabelScale) -> DistTable:
             if len(probs) != width:
                 raise ParseError(f"probs has {len(probs)} entries for a scale of {width} labels",
                                  line=lineno)
-            flat.extend(probs)
+            try:
+                flat.fromlist(list(map(float, probs)))  # all of the line or none of it
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError("probs entries must be numbers", line=lineno) from None
             linenos.append(lineno)
-            if (qid, docid) in rows:
+            if (key := (share(qid, qid), share(docid, docid))) in rows:
                 raise ParseError(f"duplicate distribution for query {qid!r} doc {docid!r}", line=lineno)
-            rows[(qid, docid)] = len(rows)
+            rows[key] = len(rows)
     except ParseError:
         _checked_probs(flat, linenos, width)  # a vector error on an earlier line wins
         raise
     return DistTable(rows, _checked_probs(flat, linenos, width))
 
 
-def _checked_probs(flat: list, linenos: list[int], width: int) -> np.ndarray:
+def _checked_probs(flat: array, linenos: array, width: int) -> np.ndarray:
     """``flat`` as a matrix of ``width`` columns, one row per line of
-    ``linenos``; raises for the first line with a non-number or a bad vector."""
-    values: list[float] = []
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        values.extend(map(float, flat))  # a failure keeps the entries before it
-    n = len(values) // width
-    probs = np.array(values[: n * width], dtype=float).reshape(n, width)
+    ``linenos``, read in place; raises for the first line with a bad vector."""
+    probs = np.frombuffer(flat, dtype=float).reshape(len(linenos), width)
     bad = np.flatnonzero(violating_rows(probs))
     if bad.size:
         row = int(bad[0])
         raise ParseError(RelevanceDistribution(probs[row].tolist()).violations()[0], line=linenos[row])
-    if n < len(linenos):
-        raise ParseError("probs entries must be numbers", line=linenos[n])
     return probs
 
 
@@ -221,12 +254,14 @@ def build_dataset(
     """Assemble a :class:`Dataset` from file contents.
 
     When ``scale`` is omitted it is inferred from the distribution file's
-    first line.
+    first line.  The three tables share one string per query or document id,
+    through a dict that lives only as long as this call.
     """
     if scale is None:
         scale = infer_scale_from_dists(dists_text)
-    rankings = parse_run(run_text)
-    predicted = parse_dists(dists_text, scale)
-    truth = parse_qrels(qrels_text, scale) if qrels_text is not None else {}
+    ids: dict[str, str] = {}
+    rankings = _parse_run(run_text, ids)
+    predicted = _parse_dists(dists_text, scale, ids)
+    truth = _parse_qrels(qrels_text, scale, ids) if qrels_text is not None else {}
     return Dataset(scale=scale, rankings=rankings, truth=truth, predicted=predicted)
 

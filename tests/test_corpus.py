@@ -1,12 +1,15 @@
 """Corpus file formats: parsing and canonical writing."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankci import corpus
 from rankci.corpus import (
     build_dataset,
     infer_scale_from_dists,
@@ -292,6 +295,20 @@ PARSE_ERRORS = {
         "\n".join([_dist_line("d0", "[0.5, 0.5]"), _dist_line("d1", "[{}, 1]"),
                    _dist_line("d2", "[0.5, 0.5]"), _dist_line("dx", "[0.9, 0.3]")]) + "\n",
         "line 2: probs entries must be numbers"),
+    "numeric strings after clean lines, with a bad sum": (
+        "\n".join([_dist_line(f"d{i}", "[0.25, 0.75]") for i in range(4)]
+                   + [_dist_line("dx", '["0.5", "0.6"]')]) + "\n",
+        "line 5: probs sum 1.1 != 1"),
+    "non-number as the last entry, sum error on a later line": (
+        "\n".join([_dist_line(f"d{i}", "[0.5, 0.5]") for i in range(3)]
+                   + [_dist_line("dx", '[0.5, "x"]'), _dist_line("dy", "[0.5, 0.5]"),
+                      _dist_line("dz", "[0.9, 0.3]")]) + "\n",
+        "line 4: probs entries must be numbers"),
+    "true and integers after float lines, then a bad sum": (
+        "\n".join([_dist_line("d0", "[0.5, 0.5]"), _dist_line("d1", "[0.25, 0.75]"),
+                   _dist_line("d2", "[true, 0]"), _dist_line("d3", "[0, 1]"),
+                   _dist_line("d4", "[1, true]")]) + "\n",
+        "line 5: probs sum 2.0 != 1"),
     "not an object": ("[0.5, 0.5]\n", "line 1: distribution line is not a JSON object"),
     "qid not a string": ('{"qid": 1, "docid": "d", "probs": [0.5, 0.5]}\n',
                          "line 1: qid/docid must be strings and probs a list"),
@@ -317,12 +334,116 @@ def test_parse_dists_reports_the_earliest_bad_line(text, message):
     ("[5e-1, 0.5E0]", (0.5, 0.5)),
     ("[5e-324, 1.0]", (5e-324, 1.0)),
     ("[0.5, 0.5000005]", (0.5, 0.5000005)),
+    ('[0.25, "0.75"]', (0.25, 0.75)),
+    ("[false, true]", (0.0, 1.0)),
+    ("[0, 1]", (0.0, 1.0)),
 ])
 def test_parse_dists_converts_entries_as_float_does(probs, expected):
     text = _dist_line("d1", "[0.5, 0.5]") + "\r\n\r\n  \r\n" + _dist_line("d2", probs) + "\r\n"
     table = parse_dists(text, LabelScale(1))
     assert table[("q1", "d2")].probs == expected
     assert list(table) == [("q1", "d1"), ("q1", "d2")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=st.text(st.sampled_from("ab \t\r\n"), max_size=60), chunk=st.integers(1, 9))
+@example(text="", chunk=4)
+@example(text="\n", chunk=1)
+@example(text="a\r\n\r\n \t\r\nb", chunk=2)  # CRLF, a blank and a whitespace-only line, no final LF
+@example(text="x\n" + "y" * 25 + "\nz\n", chunk=4)  # a line longer than a chunk
+def test_the_line_generator_numbers_the_lines_of_one_split(text, chunk):
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        assert list(corpus._numbered_lines(text)) == list(enumerate(text.split("\n"), start=1))
+
+
+def _run_lines(n):
+    return [f"q{i % 7} Q0 doc{i:05d} {i} {float(n - i)!r} sys" for i in range(n)]
+
+
+def _qrels_lines(n):
+    return [f"q{i % 7} 0 doc{i:05d} {i % 3}" for i in range(n)]
+
+
+def _dists_lines(n):
+    return [_dist_line(f"doc{i:05d}", "[0.25, 0.75]") for i in range(n)]
+
+
+# Each text puts its bad line past the first chunk, at the default chunk and at a
+# small one that cuts the text into many chunks.
+PAST_A_CHUNK = {
+    "run duplicate pair": (
+        parse_run, "\n".join(_run_lines(3000) + ["q0 Q0 doc00007 1 2.0 sys"]) + "\n",
+        "line 3001: duplicate entry for query 'q0' doc 'doc00007'"),
+    "run bad score in CRLF text": (
+        parse_run, "\r\n".join(_run_lines(2999) + ["q1 Q0 dx 1 oops sys"]) + "\r\n",
+        "line 3000: unparseable score 'oops'"),
+    "qrels label off the scale": (
+        lambda text: parse_qrels(text, LabelScale(2)),
+        "\n".join(_qrels_lines(5000) + ["q1 0 dx 3"]),
+        "line 5001: label 3 for query 'q1' doc 'dx' is off the 0..2 scale"),
+    "qrels duplicate pair": (
+        lambda text: parse_qrels(text, LabelScale(2)),
+        "\n".join(_qrels_lines(5000) + ["q0 0 doc00000 1"]),
+        "line 5001: duplicate judgment for query 'q0' doc 'doc00000'"),
+    "dists bad sum on line 1999 of 2000, invalid JSON on line 2000": (
+        lambda text: parse_dists(text, LabelScale(1)),
+        "\n".join(_dists_lines(1998) + [_dist_line("dx", "[0.5, 0.6]"), "{"]) + "\n",
+        "line 1999: probs sum 1.1 != 1"),
+    "dists non-number past the boundary, bad sum after it": (
+        lambda text: parse_dists(text, LabelScale(1)),
+        "\n".join(_dists_lines(1500) + [_dist_line("dx", "[0.5, null]"),
+                                         _dist_line("dy", "[0.9, 0.3]")]),
+        "line 1501: probs entries must be numbers"),
+    "dists duplicate pair": (
+        lambda text: parse_dists(text, LabelScale(1)),
+        "\n".join(_dists_lines(2000) + [_dist_line("doc00001", "[0.5, 0.5]")]),
+        "line 2001: duplicate distribution for query 'q1' doc 'doc00001'"),
+}
+
+
+@pytest.mark.parametrize("chunk", [corpus._CHUNK, 97])
+@pytest.mark.parametrize("parse, text, message", PAST_A_CHUNK.values(), ids=PAST_A_CHUNK.keys())
+def test_parsers_report_a_bad_line_past_the_first_chunk(parse, text, message, chunk):
+    lineno = int(message.split(":")[0].split()[1])
+    assert len("\n".join(text.split("\n")[: lineno - 1])) > corpus._CHUNK
+    with mock.patch.object(corpus, "_CHUNK", chunk), pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert exc.value.line == lineno
+
+
+def test_parsing_a_dists_file_holds_no_object_per_line_or_entry():
+    # 20,000 canonical lines on a 4-label scale.  Holding the split lines, a float
+    # object per entry and an int per line peaks near 6.9 times the text's length;
+    # one chunk of lines, 8-byte doubles and the table itself near 2.2 times.
+    ds = generate(SynthConfig(num_queries=400, docs_per_query=50, scale=LabelScale(3),
+                              truth_prior=(0.25,) * 4, annotator_sharpness=3.0, seed=5))
+    text = write_dists(ds.predicted)
+    tracemalloc.start()
+    try:
+        table = parse_dists(text, LabelScale(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak < 4 * len(text), (peak, len(text))
+
+
+def test_a_built_dataset_shares_one_string_per_id():
+    ds = generate(SynthConfig(num_queries=6, docs_per_query=8, scale=LabelScale(2),
+                              truth_prior=(0.5, 0.3, 0.2), annotator_sharpness=3.0, seed=2))
+    loaded = build_dataset(write_run(ds.rankings), write_dists(ds.predicted), write_qrels(ds.truth))
+    judged = {key: key for key in loaded.truth.rows}
+    predicted = {key: key for key in loaded.predicted.rows}
+    shared = 0
+    for qid, ranked in loaded.rankings.items():
+        assert ranked.query_id is qid
+        for doc in ranked.doc_ids:
+            for key in (predicted[(qid, doc)], judged.get((qid, doc))):
+                if key is not None:
+                    assert key[0] is qid and key[1] is doc, key
+                    shared += 1
+    assert shared == len(loaded.predicted) + len(loaded.truth) == 2 * 48
 
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
