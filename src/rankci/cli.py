@@ -12,7 +12,8 @@
   artifacts of :func:`rankci.harness.run_plan`.
 
 ``rankci-harness PLAN [flag ...]`` is ``rankci sweep --config PLAN [flag ...]``
-with the harness's defaults (``_SWEEP_DEFAULTS``): a plan file is a config file.
+with ``default_plan()``'s repeats, budgets and output directory in place of
+``_QUICK_SWEEP``'s: a plan file is a config file, and ``_sweep_plan`` builds every plan.
 
 Every command is deterministic for a given ``--seed``.  Flags beat config
 file entries (``--config`` names a ``key = value`` file whose keys are the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bootstrap import bootstrap_ci
@@ -37,7 +39,7 @@ from .crc import (CrcCalibration, _per_query_intervals, _UtilityEngine, build_ba
                   crc_ci)
 from .errors import CalibrationInfeasibleError, ParseError, RankciError
 # sweep is not called here (sweep_plan calls it); bench/tracing.py patches it.
-from .harness import ROW_FIELDS, ExperimentPlan, build_plan, run_plan, sweep, sweep_plan, write_csv
+from .harness import ROW_FIELDS, ExperimentPlan, default_plan, run_plan, sweep, sweep_plan, write_csv
 from .metrics import (
     MetricSpec,
     dataset_utility,
@@ -258,6 +260,9 @@ def cmd_ci(args) -> int:
             if value is not None and value is not False:
                 raise SystemExit(_usage(args, f"{key.replace('_', '-')} is a crc-only option, "
                                               f"but the method is {o.method}"))
+    if o.batch_size is not None and (o.per_query or o.load_calibration is not None):
+        unread = "per-query" if o.per_query else "load-calibration"
+        raise SystemExit(_usage(args, f"batch-size sizes bootstrap batches, which {unread} does not build"))
     if o.run is None:
         raise SystemExit(_usage(args, "ci needs --run"))
     if o.method in ("ppi", "crc") and o.dists is None:
@@ -326,9 +331,9 @@ def _per_query_report(metric: MetricSpec, dataset: Dataset, cal: CrcCalibration,
 # sweep
 
 
-# ``rankci sweep``'s options: ``out`` and every plan key, which build_plan reads;
-# three grids have a second name.  A key left unset keeps default_plan()'s value,
-# except where the entry point's _SWEEP_DEFAULTS set it.
+# ``rankci sweep``'s options: ``out`` and every plan key, which _sweep_plan turns
+# into an ExperimentPlan; three grids have a second name.  A key left unset keeps
+# default_plan()'s value, except where ``rankci sweep``'s _QUICK_SWEEP sets it.
 _SWEEP = {
     "name": (str, "experiment", "label recorded in summary.json (default experiment)"),
     "metric": _FILES["metric"],
@@ -361,28 +366,45 @@ _SWEEP = {
     "dists": _FILES["dists"],
 }
 # The only defaults in which the two entry points differ: a bare ``rankci sweep``
-# is a quick interactive run, a plan run by ``rankci-harness`` the
-# acceptance-scale plan, written to a directory.
-_SWEEP_DEFAULTS = {
-    "rankci": {"repeats": 50, "n_grid": (20,), "output_dir": None},
-    "rankci-harness": {"repeats": 500, "n_grid": (10, 20, 40, 80), "output_dir": "harness-out"},
-}
+# is a quick interactive run; a plan run by ``rankci-harness`` takes these keys
+# from default_plan(), the acceptance-scale plan, written to a directory.
+_QUICK_SWEEP = {"repeats": 50, "n_grid": (20,), "output_dir": None}
+# Plan keys whose ExperimentPlan field has another name.
+_PLAN_FIELDS = {"batches": "num_batches", "run": "run_path", "qrels": "qrels_path",
+                "dists": "dists_path"}
+# Plan keys that configure the synthetic dataset, with their SynthConfig field.
+_SYNTH_FIELDS = {"queries": "num_queries", "docs_per_query": "docs_per_query",
+                 "max_label": "scale", "truth_prior": "truth_prior",
+                 "sharpness": "annotator_sharpness", "synth_seed": "seed"}
 # Every key that some command reads from --config.
 _CONFIG_KEYS = {name for table in (_CI, _SWEEP)
                 for key, (_, _, _, *aliases) in table.items() for name in (key, *aliases)}
 
 
 def _sweep_plan(args) -> tuple[argparse.Namespace, ExperimentPlan]:
-    """The options and the plan of a ``sweep`` command line; options no
-    sweep can run with raise ``ValueError`` here, before any work."""
-    o = _options(args, _SWEEP, _SWEEP_DEFAULTS[args.entry])
+    """The options and the plan of a ``sweep`` command line, the one place plan keys
+    become a plan.  Any of ``run``/``qrels``/``dists`` makes the plan file-sourced and
+    it then ignores the synthetic-dataset keys.  Options no sweep can run with raise
+    ``ValueError`` here, before any work."""
+    base = default_plan()
+    o = _options(args, _SWEEP, _QUICK_SWEEP if args.entry == "rankci" else
+                 {k: getattr(base, k) for k in _QUICK_SWEEP})
     if o.out is not None and o.output_dir is not None:
         raise ValueError(f"--out {o.out!r} and an output directory {o.output_dir!r} "
                          "cannot both be set")
     if o.out is not None and Path(o.out).suffix != ".csv":
         raise ValueError(f"--out must end in .csv, got {o.out!r}")
-    plan = build_plan({k: v for k, v in vars(o).items() if v is not None and k != "out"})
-    return o, plan
+    values = {k: v for k, v in vars(o).items() if v is not None and k != "out"}
+    fields = {_PLAN_FIELDS.get(k, k): v for k, v in values.items() if k not in _SYNTH_FIELDS}
+    fields["metric"] = parse_metric(o.metric)
+    if {"run", "qrels", "dists"} & values.keys():
+        fields["synth"] = None
+    else:
+        synth = {_SYNTH_FIELDS[k]: v for k, v in values.items() if k in _SYNTH_FIELDS}
+        if "scale" in synth:
+            synth["scale"] = LabelScale(synth["scale"])
+        fields["synth"] = replace(base.synth, **synth)
+    return o, replace(base, **fields)
 
 
 def cmd_sweep(args) -> int:

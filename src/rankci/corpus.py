@@ -25,6 +25,7 @@ import json
 import math
 from array import array
 from collections.abc import Iterator, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -41,18 +42,20 @@ def _fmt(x: float) -> str:
 
 
 def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """``enumerate(text.split("\\n"), start=1)``, splitting about ``_CHUNK``
-    characters at a time, so only one chunk's lines are held at once."""
-    lineno, start = 1, 0
-    while True:
-        # A chunk ends at its last line break; a line longer than a chunk is a chunk of its own.
-        cut = text.rfind("\n", start, start + _CHUNK)
-        if cut < 0 and (cut := text.find("\n", start)) < 0:
-            yield lineno, text[start:]
-            return
-        lines = text[start:cut].split("\n")
-        yield from enumerate(lines, lineno)
-        lineno, start = lineno + len(lines), cut + 1
+    """``enumerate(text.split("\\n"), start=1)`` chained from one ``enumerate`` per
+    chunk of about ``_CHUNK`` characters, so only one chunk's lines are held at once."""
+    def chunks():
+        lineno, start = 1, 0
+        while True:
+            # A chunk ends at its last line break; a line longer than a chunk is a chunk of its own.
+            cut = text.rfind("\n", start, start + _CHUNK)
+            if cut < 0 and (cut := text.find("\n", start)) < 0:
+                yield ((lineno, text[start:]),)
+                return
+            lines = text[start:cut].split("\n")
+            yield enumerate(lines, lineno)
+            lineno, start = lineno + len(lines), cut + 1
+    return chain.from_iterable(chunks())
 
 
 # ---------------------------------------------------------------------------

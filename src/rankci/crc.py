@@ -263,11 +263,9 @@ class CalibrationBatches:
             cells = block + np.arange(0, k * n_queries, n_queries)[:, None]
             counts[start:start + k] = np.bincount(cells.ravel(), minlength=k * n_queries).reshape(k, -1)
             start += k
-        if not compact:
-            return lambda values: counts @ values / b
-        rows = 64 * max(1, _PRODUCT_ENTRIES // (64 * n_queries))
-        blocks = np.split(counts, range(rows, m - 1, rows))  # no one-row tail
-        return lambda values: np.concatenate([block.astype(float) @ values for block in blocks]) / b
+        rows = 64 * max(1, _PRODUCT_ENTRIES // (64 * n_queries)) if compact else max(m, 1)
+        blocks = np.split(counts, range(rows, m - 1, rows))  # one dense block; no one-row tail
+        return lambda values: np.concatenate([block.astype(float, copy=False) @ values for block in blocks]) / b
 
     def _column_means(self):
         index, b = self.index, self.shape[1]

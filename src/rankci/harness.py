@@ -38,17 +38,16 @@ Outputs: ``rows.csv`` (one row per method/grid point/repeat),
 ``per_query.csv`` (one interval per query from singleton-batch calibration,
 sorted by true utility descending), and ``summary.json``.
 
-The plan keys, their parsers and the one loader of a plan's dataset live in
-:mod:`rankci.cli`, whose ``rankci sweep`` runs every plan; :func:`build_plan`
-turns parsed plan keys into an :class:`ExperimentPlan`, and :func:`run_plan`
-runs one over a loaded dataset.
+The plan keys, their parsers, the one builder of an :class:`ExperimentPlan` from
+them and the one loader of a plan's dataset live in :mod:`rankci.cli`, whose
+``rankci sweep`` runs every plan; :func:`run_plan` runs one over a loaded dataset.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
@@ -416,7 +415,7 @@ def run_plan(plan: ExperimentPlan, dataset: Dataset) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# CSV output and plans
+# CSV output
 
 
 def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) -> None:
@@ -430,30 +429,3 @@ def write_csv(dest: str | Path | TextIO, fields: list[str], rows: list[dict]) ->
     writer = csv.DictWriter(dest, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-
-
-# Plan keys whose ExperimentPlan field has another name.
-_PLAN_FIELDS = {"batches": "num_batches", "run": "run_path", "qrels": "qrels_path",
-                "dists": "dists_path"}
-# Plan keys that configure the synthetic dataset, with their SynthConfig field.
-_SYNTH_FIELDS = {"queries": "num_queries", "docs_per_query": "docs_per_query",
-                 "max_label": "scale", "truth_prior": "truth_prior",
-                 "sharpness": "annotator_sharpness", "synth_seed": "seed"}
-
-
-def build_plan(values: Mapping[str, object]) -> ExperimentPlan:
-    """The plan for parsed plan-key ``values``; every key left out keeps
-    :func:`default_plan`'s value.  Any of ``run``/``qrels``/``dists`` makes
-    the plan file-sourced, and the plan then ignores the synthetic-dataset keys."""
-    base = default_plan()
-    fields = {_PLAN_FIELDS.get(k, k): v for k, v in values.items() if k not in _SYNTH_FIELDS}
-    if "metric" in fields:
-        fields["metric"] = parse_metric(fields["metric"])
-    if {"run_path", "qrels_path", "dists_path"} & fields.keys():
-        fields["synth"] = None
-    else:
-        synth = {_SYNTH_FIELDS[k]: v for k, v in values.items() if k in _SYNTH_FIELDS}
-        if "scale" in synth:
-            synth["scale"] = LabelScale(synth["scale"])
-        fields["synth"] = replace(base.synth, **synth)
-    return replace(base, **fields)

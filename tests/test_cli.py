@@ -14,7 +14,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from rankci.cli import build_parser, harness_main, main
 from rankci.corpus import build_dataset, write_dists, write_qrels, write_run
 from rankci.crc import CrcCalibration, crc_ci
 from rankci.errors import ParseError
-from rankci.harness import ROW_FIELDS, sweep, write_csv
+from rankci.harness import ROW_FIELDS, ExperimentPlan, sweep, write_csv
 from rankci.metrics import parse_metric, predicted_utilities
 from rankci.model import Dataset, Judgment, LabelScale, RankedList, RelevanceDistribution
 from rankci.synth import SynthConfig, generate
@@ -207,6 +207,27 @@ def test_a_crc_only_option_with_another_method_is_a_usage_error(tmp_path, capsys
     assert (code, out) == (1, "")
     assert f"{key} is a crc-only option" in err
     assert not (tmp_path / "cal.json").exists()
+
+
+@pytest.mark.parametrize("other", ["per-query", "load-calibration"])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+def test_a_batch_size_that_crc_does_not_read_is_a_usage_error(tmp_path, capsys, other, in_config):
+    """--batch-size sizes the bootstrap batches; per-query calibration and a loaded
+    calibration build none, so the option would be ignored without a word."""
+    # No data file exists, so exit 1 rather than 2 shows the refusal comes first.
+    argv = ["ci", "--method", "crc",
+            *(f"--{name}={tmp_path / name}" for name in ("run", "qrels", "dists")),
+            *(["--per-query"] if other == "per-query" else
+              ["--load-calibration", str(tmp_path / "cal.json")])]
+    if in_config:
+        cfg = tmp_path / "rankci.cfg"
+        cfg.write_text("batch-size = 5\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--batch-size", "5"]
+    code, out, err = _exit_code(argv, capsys)
+    assert (code, out) == (1, "")
+    assert f"batch-size sizes bootstrap batches, which {other} does not build" in err
 
 
 def test_a_false_per_query_is_not_a_crc_only_option(labeled_corpus, tmp_path, capsys):
@@ -780,6 +801,18 @@ def test_the_entry_points_differ_in_three_defaults_only(tmp_path):
     assert {k for k, v in vars(o).items() if v != getattr(h_o, k)} == {"repeats", "n_grid",
                                                                          "output_dir"}
     assert h_plan == replace(plan, repeats=500, n_grid=(10, 20, 40, 80))
+
+
+def test_every_plan_key_names_a_field_of_the_plan_or_its_synthetic_dataset():
+    """A ``_SWEEP`` key with no field would reach ``replace(...)`` as a
+    ``TypeError``, which ``_dispatch`` does not map to an exit code."""
+    plan_fields = {f.name for f in fields(ExperimentPlan)}
+    synth_fields = {f.name for f in fields(SynthConfig)}
+    unmapped = [key for key in cli._SWEEP if key != "out" and (
+        cli._SYNTH_FIELDS[key] not in synth_fields if key in cli._SYNTH_FIELDS
+        else cli._PLAN_FIELDS.get(key, key) not in plan_fields)]
+    assert unmapped == []
+    assert cli._PLAN_FIELDS.keys() | cli._SYNTH_FIELDS.keys() <= cli._SWEEP.keys() - {"out"}
 
 
 def test_sweep_stdout_is_pinned(capsys):
